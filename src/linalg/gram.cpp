@@ -34,9 +34,8 @@ GramSystem build_gram_system(const Matrix& candidates, const Vector& y,
   gs.panel = candidates.transposed();
 
   // Column norms (= the lstsq equilibration scales) and the intercept
-  // terms.  simd::dot over a panel row computes the same 8-lane tree as
-  // Matrix::col_norm's strided walk, so the scales equal the ones lstsq
-  // derives from the row-major matrix bit for bit.
+  // terms.  lstsq takes the same simd::dot over its contiguous copy of each
+  // column, so the scales equal its ones bit for bit.
   gs.col_scale[0] = std::sqrt(static_cast<double>(n));
   for (std::size_t j = 0; j < p; ++j) {
     const double* cj = gs.panel.row_ptr(j);

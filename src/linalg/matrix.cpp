@@ -66,8 +66,6 @@ double Matrix::col_dot(std::size_t c1, std::size_t c2) const {
                            cols_);
 }
 
-double Matrix::col_norm(std::size_t c) const { return std::sqrt(col_dot(c, c)); }
-
 double Matrix::row_dot(std::size_t r1, std::size_t r2) const {
   GPPM_CHECK(r1 < rows_ && r2 < rows_, "row out of range");
   return simd::dot(data_.data() + r1 * cols_, data_.data() + r2 * cols_,

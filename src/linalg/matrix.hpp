@@ -52,8 +52,6 @@ class Matrix {
   /// column equals simd::dot over that column copied contiguous, bit for
   /// bit (the GramSystem column-panel path relies on this).
   double col_dot(std::size_t c1, std::size_t c2) const;
-  /// Euclidean norm of column c, computed in place (no temporary copy).
-  double col_norm(std::size_t c) const;
   /// Dot product of two rows (contiguous in memory, SIMD-vectorized).
   double row_dot(std::size_t r1, std::size_t r2) const;
 

@@ -9,6 +9,7 @@
 #include "common/simd.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/gram.hpp"
+#include "linalg/lstsq.hpp"
 #include "obs/obs.hpp"
 
 namespace gppm::stats {
@@ -124,7 +125,8 @@ SelectionResult forward_select_naive(const linalg::Matrix& candidates,
 }
 
 /// Incremental engine: score candidates from the precomputed Gram system by
-/// a one-column Cholesky append in O(k^2), QR-refit only accepted models.
+/// a one-column Cholesky append in O(k^2), and confirm the leaders by a
+/// one-column QR append in O(n k).
 ///
 /// State invariants, all in the column-normalized design of the GramSystem
 /// (design index 0 = intercept, candidate c = c + 1):
@@ -215,11 +217,28 @@ SelectionResult forward_select_incremental(const linalg::Matrix& candidates,
       linalg::build_gram_system(candidates, y, options.parallel);
   IncrementalState state(gs);
 
+  // The accepted model's design [1 | selected...] in one QR, grown by one
+  // column per accepted variable and read from the Gram system's column
+  // panel.  A confirm appends its candidate's column as a trial, which the
+  // next confirm drops again.  The step's winner is usually the candidate
+  // confirmed last, so accepting it usually just keeps its column.
+  const linalg::Vector ones(candidates.rows(), 1.0);
+  linalg::IncrementalLstsq model(y);
+  model.append(ones.data());
+  std::size_t trial = n_candidates;  // candidate appended as a trial, if any
+  const auto append_trial = [&](std::size_t c) {
+    if (trial == c) return;
+    if (trial != n_candidates) model.pop_back();
+    model.append(gs.panel.row_ptr(c));
+    trial = c;
+  };
+  const double tss = total_sum_of_squares(y, /*fit_intercept=*/true);
+
   SelectionResult result;
   double best_adj_r2 = -std::numeric_limits<double>::infinity();
   // Width of the window (below the best score) within which Gram-based
   // scores cannot be trusted to rank candidates: anything this close to the
-  // top is re-scored by the exact QR reference before the argmax decides.
+  // top is re-scored by the exact QR fit before the argmax decides.
   const double score_slack = std::max(options.min_improvement, 1e-9);
 
   std::vector<double> scores(n_candidates);
@@ -227,20 +246,21 @@ SelectionResult forward_select_incremental(const linalg::Matrix& candidates,
   std::vector<OlsFit> exact_fits(n_candidates);
 
   // Replace candidate c's O(k^2) score with its exact QR adjusted R^2 (NaN
-  // if the trial design is rank-deficient).
+  // if the trial design is rank-deficient), in O(n k): the trial design is
+  // the accepted one plus column c, so its QR is the accepted QR plus one
+  // appended column, bit for bit what ols_fit computes from scratch.
   const auto confirm = [&](std::size_t c) {
     obs::ObsSpan span("select.confirm");
     SelectionInstruments::instance().qr_confirms.add();
-    std::vector<std::size_t> trial = result.selected;
-    trial.push_back(c);
-    OlsFit exact = ols_fit(gather_columns(candidates, trial), y);
-    if (!exact.full_rank) {
+    append_trial(c);
+    if (model.full_rank()) {
+      exact_fits[c] = ols_from_solution(model.solve(), candidates.rows(),
+                                        /*fit_intercept=*/true, tss);
+      scores[c] = exact_fits[c].adjusted_r_squared;
+      confirmed[c] = true;
+    } else {
       scores[c] = std::numeric_limits<double>::quiet_NaN();
-      return;
     }
-    scores[c] = exact.adjusted_r_squared;
-    exact_fits[c] = std::move(exact);
-    confirmed[c] = true;
   };
 
   while (result.selected.size() < cap) {
@@ -284,7 +304,7 @@ SelectionResult forward_select_incremental(const linalg::Matrix& candidates,
       }
 
       // The accept/stop decisions and the returned models must come from the
-      // reference QR fit, so both engines apply tie-breaking and
+      // exact QR fit, so both engines apply tie-breaking and
       // min_improvement semantics to the same numbers.
       if (!confirmed[best_c]) {
         confirm(best_c);
@@ -313,6 +333,8 @@ SelectionResult forward_select_incremental(const linalg::Matrix& candidates,
       }
 
       state.accept(best_c);
+      append_trial(best_c);
+      trial = n_candidates;  // the winner's column stays for good
       used[best_c] = true;
       result.selected.push_back(best_c);
       result.fit = exact_fits[best_c];

@@ -11,11 +11,15 @@
 //    least squares, O(steps x candidates x n k^2).
 //  * IncrementalGram (default) — the Gram matrix G = X^T X and X^T y are
 //    built once; each trial is scored in O(k^2) by appending one column to a
-//    Cholesky factor of the selected submatrix, and only the *accepted*
-//    model per step is refit by the reference QR path.  This keeps selected
-//    sets, R^2 traces and coefficients identical to NaiveQr while removing
-//    the per-candidate refits that dominate its cost.  Candidate scoring
-//    within a step can additionally fan out over the shared compute pool.
+//    Cholesky factor of the selected submatrix.  The step's leaders are then
+//    confirmed exactly by QR: the engine keeps one Householder QR of the
+//    accepted design [1 | selected...] and confirms a candidate by
+//    appending its column, solving and dropping it again — O(n k) instead
+//    of an O(n k^2) refit.  Householder QR is column-sequential and every
+//    reduction keeps ols_fit's order, so a confirmed fit is bit for bit the
+//    ols_fit of the trial design, and selected sets, R^2 traces and
+//    coefficients are identical to NaiveQr's.  Candidate scoring within a
+//    step can additionally fan out over the shared compute pool.
 #pragma once
 
 #include <cstddef>

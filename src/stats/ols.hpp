@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "linalg/lstsq.hpp"
 #include "linalg/matrix.hpp"
 
 namespace gppm::stats {
@@ -29,5 +30,18 @@ struct OlsFit {
 /// quantity the paper reports in TABLEs V and VI.
 OlsFit ols_fit(const linalg::Matrix& x, const linalg::Vector& y,
                bool fit_intercept = true);
+
+/// The total sum of squares R^2 is measured against: about the mean of y
+/// with an intercept, about zero without one.
+double total_sum_of_squares(const linalg::Vector& y, bool fit_intercept);
+
+/// The OlsFit of a least-squares solution over the design [1 | X] (X alone
+/// without an intercept) of n_samples rows, with R^2 measured against
+/// tss = total_sum_of_squares(y, fit_intercept).  ols_fit builds its result
+/// this way, and so does forward selection for the models it confirms, so
+/// the two agree bit for bit.
+OlsFit ols_from_solution(const linalg::LstsqResult& solution,
+                         std::size_t n_samples, bool fit_intercept,
+                         double tss);
 
 }  // namespace gppm::stats

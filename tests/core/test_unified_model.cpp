@@ -167,6 +167,36 @@ TEST(UnifiedModel, EnginesProduceIdenticalModels) {
   }
 }
 
+TEST(ModelFamily, EnginesIdenticalInEveryPrefixAtRealSize) {
+  // The served board's exec-time corpus (GTX 680: 798 rows x 108 counters)
+  // at the Figs. 7/8 cap of 20: every prefix model of the incremental
+  // engine equals the NaiveQr reference's bit for bit.
+  const Dataset gtx680 = build_dataset(sim::GpuModel::GTX680);
+  ModelOptions opt;
+  opt.max_variables = 20;
+  const ModelFamily incremental =
+      ModelFamily::fit(gtx680, TargetKind::ExecTime, opt);
+  opt.engine = stats::SelectionEngine::NaiveQr;
+  const ModelFamily naive = ModelFamily::fit(gtx680, TargetKind::ExecTime, opt);
+  ASSERT_EQ(incremental.size(), naive.size());
+  ASSERT_EQ(naive.size(), 20u);
+  for (std::size_t k = 1; k <= naive.size(); ++k) {
+    const UnifiedModel& a = incremental.at(k);
+    const UnifiedModel& b = naive.at(k);
+    SCOPED_TRACE("prefix " + std::to_string(k));
+    EXPECT_EQ(a.intercept(), b.intercept());
+    EXPECT_EQ(a.adjusted_r2(), b.adjusted_r2());
+    ASSERT_EQ(a.variables().size(), k);
+    ASSERT_EQ(b.variables().size(), k);
+    for (std::size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(a.variables()[i].counter, b.variables()[i].counter);
+      EXPECT_EQ(a.variables()[i].coefficient, b.variables()[i].coefficient);
+      EXPECT_EQ(a.variables()[i].cumulative_adjusted_r2,
+                b.variables()[i].cumulative_adjusted_r2);
+    }
+  }
+}
+
 TEST(UnifiedModel, MoreVariablesNeverHurtAdjustedR2) {
   ModelOptions small;
   small.max_variables = 5;

@@ -71,6 +71,40 @@ TEST(Lstsq, RankDeficientStillSolves) {
   for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(pred[i], b[i], 1e-6);
 }
 
+TEST(IncrementalLstsq, MatchesLstsqAfterTrialColumns) {
+  // Every prefix of a design, reached through appends with trial columns
+  // appended and popped in between, solves bit for bit like lstsq of that
+  // prefix — the equality forward selection's confirms rely on.
+  gppm::Rng rng(21);
+  const std::size_t n = 30, p = 5;
+  std::vector<Vector> cols(p, Vector(n));
+  Vector b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    cols[0][i] = 1.0;
+    cols[1][i] = 1e-6 * rng.normal();
+    cols[2][i] = 1e6 * rng.normal();
+    cols[3][i] = 2.0 * cols[1][i];  // collinear with column 1
+    cols[4][i] = rng.normal();
+    b[i] = 3.0 + 1e6 * cols[1][i] + rng.normal(0.0, 0.1);
+  }
+  const Vector trial = cols[4];
+  IncrementalLstsq solver(b);
+  for (std::size_t j = 0; j < p; ++j) {
+    solver.append(trial.data());
+    solver.pop_back();
+    solver.append(cols[j].data());
+    Matrix a(n, j + 1);
+    for (std::size_t c = 0; c <= j; ++c) a.set_col(c, cols[c]);
+    const LstsqResult want = lstsq(a, b);
+    const LstsqResult got = solver.solve();
+    SCOPED_TRACE("columns=" + std::to_string(j + 1));
+    EXPECT_EQ(got.x, want.x);
+    EXPECT_EQ(got.residual_ss, want.residual_ss);
+    EXPECT_EQ(got.full_rank, want.full_rank);
+    EXPECT_EQ(solver.full_rank(), j < 3);
+  }
+}
+
 TEST(Lstsq, RejectsBadInputs) {
   EXPECT_THROW(lstsq(Matrix(), Vector{}), gppm::Error);
   EXPECT_THROW(lstsq(Matrix(3, 2), Vector{1, 2}), gppm::Error);   // rhs size

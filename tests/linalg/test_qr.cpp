@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -69,6 +72,65 @@ TEST(Qr, RejectsWideMatrix) {
 
 TEST(Qr, RejectsEmptyMatrix) {
   EXPECT_THROW(qr_decompose(Matrix()), gppm::Error);
+}
+
+Matrix first_columns(const Matrix& a, std::size_t n) {
+  Matrix out(a.rows(), n);
+  for (std::size_t j = 0; j < n; ++j) out.set_col(j, a.col(j));
+  return out;
+}
+
+void expect_bit_identical(const Matrix& a, const Matrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a(i, j)),
+                std::bit_cast<std::uint64_t>(b(i, j)))
+          << "(" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(HouseholderQr, AppendingWithTrialColumnsMatchesDecompose) {
+  // Forward selection appends a trial column to its accepted model's QR and
+  // drops it again.  Trials must leave no trace: after every append the
+  // factorization is bit for bit the one of the columns so far, including
+  // an all-zero column and a copy of an earlier one (both rank-deficient).
+  Matrix a = random_matrix(40, 7, 12);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    a(r, 1) *= 1e6;
+    a(r, 3) = 0.0;
+    a(r, 5) = a(r, 2);
+  }
+  const Matrix trials = random_matrix(40, 1, 13);
+  HouseholderQr qr(a.rows());
+  for (std::size_t j = 0; j < a.cols(); ++j) {
+    for (const Vector& trial : {trials.col(0), a.col(0), Vector(a.rows())}) {
+      qr.append(trial.data());
+      qr.pop_back();
+    }
+    qr.append(a.col(j).data());
+    ASSERT_EQ(qr.cols(), j + 1);
+    const QrResult grown = qr.result();
+    const QrResult whole = qr_decompose(first_columns(a, j + 1));
+    SCOPED_TRACE("columns=" + std::to_string(j + 1));
+    expect_bit_identical(grown.q, whole.q);
+    expect_bit_identical(grown.r, whole.r);
+    EXPECT_EQ(grown.full_rank, whole.full_rank);
+    EXPECT_EQ(grown.full_rank, j < 3);
+  }
+}
+
+TEST(HouseholderQr, RejectsMoreColumnsThanRows) {
+  HouseholderQr qr(2);
+  const Vector col{1.0, 2.0};
+  qr.append(col.data());
+  qr.append(col.data());
+  EXPECT_THROW(qr.append(col.data()), gppm::Error);
+  qr.pop_back();
+  qr.pop_back();
+  EXPECT_THROW(qr.pop_back(), gppm::Error);
 }
 
 TEST(SolveUpperTriangular, SolvesKnownSystem) {

@@ -16,13 +16,17 @@
 #   4. ASan:   -DGPPM_SANITIZE=address build, then the chaos_smoke and
 #      simd_smoke targets (fault-injection/chaos suites, plus the
 #      zero-copy span-aliasing fuzz where ASan can catch a dangling
-#      payload view).
+#      payload view), and the linalg and stats suites, whose QR, Gram and
+#      selection loops index raw column pointers;
+#   5. benchmark: benchmark/run.sh --smoke (every workload at a tenth of
+#      its run length, correctness checks included), then the benchmark's
+#      own ctest suite (loadgen self-tests and one smoke per workload).
 #
 # Usage: tools/run_tier1.sh [--tier1-only]
 #
-# Build trees: build/ (tier-1), build-scalar/, build-tsan/, build-asan/ —
-# all under the repo root, all reused across runs.  Exits nonzero on the
-# first failing stage.
+# Build trees: build/ (tier-1), build-scalar/, build-tsan/, build-asan/,
+# build/benchmark/ — all under the repo root, all reused across runs.
+# Exits nonzero on the first failing stage.
 set -eu
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -68,11 +72,19 @@ do
   cmake --build "$repo/build-tsan" --target "$target"
 done
 
-echo "== ASan: build + chaos/simd smokes =="
+echo "== ASan: build + chaos/simd smokes + linalg/stats suites =="
 cmake -B "$repo/build-asan" -S "$repo" -DGPPM_SANITIZE=address >/dev/null
 cmake --build "$repo/build-asan" -j"$jobs" \
-  --target test_fault test_chaos test_simd
+  --target test_fault test_chaos test_simd test_linalg test_stats
 cmake --build "$repo/build-asan" --target chaos_smoke
 cmake --build "$repo/build-asan" --target simd_smoke
+for suite in test_linalg test_stats; do
+  echo "-- $suite"
+  "$repo/build-asan/tests/$suite" --gtest_brief=1
+done
+
+echo "== benchmark: smoke run + benchmark ctest =="
+"$repo/benchmark/run.sh" --smoke
+ctest --test-dir "$repo/build/benchmark" --output-on-failure
 
 echo "== run_tier1: ALL STAGES PASS =="
