@@ -36,7 +36,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <mutex>
@@ -63,14 +62,6 @@ double percentile(const std::vector<double>& sorted, double q) {
   const std::size_t index = static_cast<std::size_t>(
       q * static_cast<double>(sorted.size() - 1) + 0.5);
   return sorted[std::min(index, sorted.size() - 1)];
-}
-
-bool bit_identical(const serve::Response& a, const serve::Response& b) {
-  return std::memcmp(&a.power_watts, &b.power_watts, sizeof(double)) == 0 &&
-         std::memcmp(&a.time_seconds, &b.time_seconds, sizeof(double)) == 0 &&
-         std::memcmp(&a.energy_joules, &b.energy_joules, sizeof(double)) ==
-             0 &&
-         a.status == b.status && a.pair == b.pair;
 }
 
 struct RunResult {
@@ -112,7 +103,7 @@ RunResult drive(cluster::LocalFleet& fleet,
                             .count());
         if (r.ok()) {
           ok.fetch_add(1);
-          if (truth != nullptr && !bit_identical(r, (*truth)[i])) {
+          if (truth != nullptr && !serve::bit_identical(r, (*truth)[i])) {
             divergent.fetch_add(1);
           }
         } else {

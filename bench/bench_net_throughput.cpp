@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <thread>
@@ -48,14 +47,6 @@ double percentile(const std::vector<double>& sorted, double q) {
   const std::size_t index = static_cast<std::size_t>(
       q * static_cast<double>(sorted.size() - 1) + 0.5);
   return sorted[std::min(index, sorted.size() - 1)];
-}
-
-bool bit_identical(const serve::Response& a, const serve::Response& b) {
-  return std::memcmp(&a.power_watts, &b.power_watts, sizeof(double)) == 0 &&
-         std::memcmp(&a.time_seconds, &b.time_seconds, sizeof(double)) == 0 &&
-         std::memcmp(&a.energy_joules, &b.energy_joules, sizeof(double)) ==
-             0 &&
-         a.status == b.status && a.pair == b.pair;
 }
 
 }  // namespace
@@ -118,7 +109,7 @@ int main(int argc, char** argv) {
                                      std::chrono::steady_clock::now() - t0)
                                      .count());
           answered.fetch_add(1);
-          if (!bit_identical(r, expected[p])) divergent.fetch_add(1);
+          if (!serve::bit_identical(r, expected[p])) divergent.fetch_add(1);
         }
       });
     }
@@ -158,7 +149,7 @@ int main(int argc, char** argv) {
               client.predict_batch(batch);
           answered.fetch_add(replies.size());
           for (std::size_t j = 0; j < replies.size(); ++j) {
-            if (!bit_identical(replies[j], expected[indices[j]])) {
+            if (!serve::bit_identical(replies[j], expected[indices[j]])) {
               divergent.fetch_add(1);
             }
           }

@@ -8,7 +8,6 @@
 // Build & run:  ./build/examples/nvml_monitor [benchmark] [gpu]
 #include <iostream>
 
-#include "common/error.hpp"
 #include "common/str.hpp"
 #include "common/table.hpp"
 #include "nvml/nvml.hpp"
@@ -16,19 +15,10 @@
 
 using namespace gppm;
 
-namespace {
-sim::GpuModel parse_gpu(const std::string& name) {
-  if (name == "gtx285") return sim::GpuModel::GTX285;
-  if (name == "gtx460") return sim::GpuModel::GTX460;
-  if (name == "gtx480") return sim::GpuModel::GTX480;
-  if (name == "gtx680") return sim::GpuModel::GTX680;
-  throw Error("unknown GPU: " + name);
-}
-}  // namespace
-
 int main(int argc, char** argv) {
   const std::string bench_name = argc > 1 ? argv[1] : "srad_v1";
-  const sim::GpuModel model = argc > 2 ? parse_gpu(argv[2]) : sim::GpuModel::GTX680;
+  const sim::GpuModel model =
+      argc > 2 ? sim::parse_gpu(argv[2]) : sim::GpuModel::GTX680;
 
   sim::Gpu gpu(model);
   nvml::Session session;

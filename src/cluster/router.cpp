@@ -1,8 +1,6 @@
 #include "cluster/router.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -40,9 +38,7 @@ RouterObs& router_obs() {
       reg.counter("cluster.router.ring_remaps"),
       reg.counter("cluster.router.exhausted"),
       reg.counter("cluster.router.admission_shed"),
-      reg.histogram("cluster.router.latency_us",
-                    {100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000,
-                     100000, 250000}),
+      reg.histogram("cluster.router.latency_us"),
   };
   return instruments;
 }
@@ -62,8 +58,7 @@ DrainObs& drain_obs() {
       reg.counter("cluster.drain.completed"),
       reg.counter("cluster.drain.timeouts"),
       reg.counter("cluster.drain.handed_off"),
-      reg.histogram("cluster.drain.duration_ms",
-                    {1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 5000}),
+      reg.histogram("cluster.drain.duration_ms"),
   };
   return instruments;
 }
@@ -79,51 +74,6 @@ std::chrono::steady_clock::duration to_steady(Duration d) {
 }
 
 }  // namespace
-
-// --- LatencyTracker -------------------------------------------------------
-
-void LatencyTracker::record(double seconds) {
-  if (!(seconds > 0.0)) seconds = 1e-9;
-  // Bin i covers latencies around 2^(i/4) microseconds: quarter-octave
-  // resolution from 1 us up past 50 s in 64 bins.
-  const double micros = seconds * 1e6;
-  int bin = static_cast<int>(std::lround(std::log2(std::max(micros, 1.0)) *
-                                         4.0));
-  bin = std::clamp(bin, 0, static_cast<int>(kBins) - 1);
-  bins_[static_cast<std::size_t>(bin)].fetch_add(1,
-                                                 std::memory_order_relaxed);
-  total_.fetch_add(1, std::memory_order_relaxed);
-}
-
-double LatencyTracker::quantile(double q) const {
-  const std::uint64_t total = total_.load(std::memory_order_relaxed);
-  // No samples: there is no estimate.  +inf (not 0) is the safe sentinel —
-  // every caller that clamps the result into a delay band lands on its
-  // conservative ceiling instead of its aggressive floor.
-  if (total == 0) return std::numeric_limits<double>::infinity();
-  // Integer rank in [1, total]: the rank-th smallest recorded sample.  A
-  // fractional `q * total` compared with >= let rank 0 (q == 0, or any q
-  // small enough to round below one sample) match the *empty* bin 0 and
-  // report ~1.19 us no matter what was recorded.
-  std::uint64_t rank = 1;
-  if (std::isfinite(q) && q > 0.0) {
-    rank = q >= 1.0 ? total
-                    : std::min<std::uint64_t>(
-                          total,
-                          static_cast<std::uint64_t>(
-                              std::ceil(q * static_cast<double>(total))));
-    rank = std::max<std::uint64_t>(rank, 1);
-  }
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBins; ++i) {
-    seen += bins_[i].load(std::memory_order_relaxed);
-    if (seen >= rank) {
-      // Upper edge of the bin, back in seconds.
-      return std::exp2(static_cast<double>(i + 1) / 4.0) * 1e-6;
-    }
-  }
-  return std::exp2(static_cast<double>(kBins) / 4.0) * 1e-6;
-}
 
 // --- Router ---------------------------------------------------------------
 

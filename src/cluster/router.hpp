@@ -13,7 +13,7 @@
 //     the health loop probes it (HalfOpen) and closes the breaker when it
 //     answers again;
 //   * hedged requests — if the primary has not answered within the
-//     observed p`hedge_quantile` latency (log-binned tracker, clamped to
+//     observed p`hedge_quantile` latency (an obs::Histogram, clamped to
 //     [hedge_min_delay, hedge_max_delay]), the same request is fired at
 //     the next replica and the first answer wins.  The loser is
 //     abandoned, not awaited: the futures are promise-backed, so dropping
@@ -69,29 +69,6 @@
 #include "serve/admission.hpp"
 
 namespace gppm::cluster {
-
-/// Lock-free log-binned latency sketch: record() on the hot path is two
-/// relaxed atomic increments, quantile() scans 64 bins.  Good to ~19 % bin
-/// width, plenty for a hedge trigger.
-class LatencyTracker {
- public:
-  void record(double seconds);
-  /// Approximate q-quantile (upper edge of the bin holding the rank-th
-  /// smallest sample, rank = clamp(ceil(q * count), 1, count)), or +inf
-  /// with no samples — "no estimate": a caller clamping into a delay band
-  /// then gets the conservative ceiling, never the aggressive floor.
-  /// Single-sample windows and q == 0 return that sample's own bin, not
-  /// the empty bin-0 edge.
-  double quantile(double q) const;
-  std::uint64_t count() const {
-    return total_.load(std::memory_order_relaxed);
-  }
-
- private:
-  static constexpr std::size_t kBins = 64;
-  std::atomic<std::uint64_t> bins_[kBins] = {};
-  std::atomic<std::uint64_t> total_{0};
-};
 
 struct RouterOptions {
   /// Owners per key (>=2 for the loss-of-one-backend story; clamped to
@@ -268,7 +245,8 @@ class Router {
   /// Backends off the ring but still finishing in-flight work.
   std::map<std::string, SlotPtr> draining_;
 
-  LatencyTracker latency_;
+  /// Winning-flight latency in seconds; feeds the hedge trigger.
+  obs::Histogram latency_;
   std::unique_ptr<serve::AdmissionController> admission_;
 
   serve::BoundedQueue<AsyncJob> async_queue_;

@@ -28,8 +28,7 @@ SupervisorObs& supervisor_obs() {
       reg.counter("cluster.supervisor.probes_lost"),
       reg.counter("cluster.supervisor.restarts"),
       reg.counter("cluster.supervisor.budget_exhausted"),
-      reg.histogram("cluster.supervisor.backoff_ms",
-                    {10, 25, 50, 100, 250, 500, 1000, 2500, 5000}),
+      reg.histogram("cluster.supervisor.backoff_ms"),
   };
   return instruments;
 }

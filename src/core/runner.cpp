@@ -32,8 +32,7 @@ struct SweepInstruments {
         obs::Registry::instance().counter("sweep.samples_imputed"),
         obs::Registry::instance().counter("sweep.cells_measured"),
         obs::Registry::instance().counter("sweep.cells_missing"),
-        obs::Registry::instance().histogram(
-            "sweep.backoff_ms", {1.0, 10.0, 100.0, 1000.0, 10000.0}),
+        obs::Registry::instance().histogram("sweep.backoff_ms"),
     };
     return *in;
   }

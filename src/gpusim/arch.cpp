@@ -23,6 +23,15 @@ std::string to_string(GpuModel m) {
   throw Error("unknown GPU model");
 }
 
+GpuModel parse_gpu(const std::string& name) {
+  if (name == "gtx285") return GpuModel::GTX285;
+  if (name == "gtx460") return GpuModel::GTX460;
+  if (name == "gtx480") return GpuModel::GTX480;
+  if (name == "gtx680") return GpuModel::GTX680;
+  throw Error("unknown GPU '" + name +
+              "' (expected gtx285, gtx460, gtx480 or gtx680)");
+}
+
 std::string to_string(ClockLevel l) {
   switch (l) {
     case ClockLevel::Low: return "L";

@@ -40,6 +40,11 @@ std::string to_string(Architecture a);
 /// "GTX 285" etc., matching the paper's naming.
 std::string to_string(GpuModel m);
 
+/// The command-line board names gtx285, gtx460, gtx480 and gtx680.  Throws
+/// gppm::Error listing them for any other name.  (Model files carry their
+/// own GTX680-style tokens; core/serialization parses those.)
+GpuModel parse_gpu(const std::string& name);
+
 /// "L" / "M" / "H".
 std::string to_string(ClockLevel l);
 

@@ -30,9 +30,7 @@ ClientObs& client_obs() {
       reg.counter("net.client.stale_evictions"),
       reg.counter("net.client.bytes_tx"),
       reg.counter("net.client.bytes_rx"),
-      reg.histogram("net.client.rtt_us",
-                    {50, 100, 250, 500, 1000, 2500, 5000, 10000, 50000,
-                     250000}),
+      reg.histogram("net.client.rtt_us"),
   };
   return instruments;
 }

@@ -30,8 +30,7 @@ ServerObs& server_obs() {
       reg.counter("net.server.frames_tx"),
       reg.counter("net.server.connections"),
       reg.counter("net.server.protocol_errors"),
-      reg.histogram("net.server.write_queue_depth",
-                    {1, 2, 4, 8, 16, 32, 64, 128, 256}),
+      reg.histogram("net.server.write_queue_depth"),
   };
   return instruments;
 }

@@ -35,12 +35,12 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-std::string bound_label(double upper) {
-  // Integral bounds print bare (le_10), fractional with 3 digits.
-  if (upper == static_cast<double>(static_cast<long long>(upper))) {
-    return "le_" + std::to_string(static_cast<long long>(upper));
-  }
-  return "le_" + format_double(upper, 3);
+std::string bin_label(double upper) {
+  // Four significant digits name every edge of the geometry uniquely:
+  // le_1.259e-07 ... le_1, le_1.259, ... le_1e+09.
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "le_%.4g", upper);
+  return buf;
 }
 
 }  // namespace
@@ -77,12 +77,10 @@ void write_metrics_csv(const MetricsSnapshot& snapshot, std::ostream& out) {
   for (const HistogramRow& h : snapshot.histograms) {
     csv.row({"histogram", h.name, "count", std::to_string(h.count)});
     csv.row({"histogram", h.name, "sum", format_double(h.sum, 6)});
-    for (std::size_t b = 0; b < h.bucket_counts.size(); ++b) {
-      const std::string label = b < h.upper_bounds.size()
-                                    ? bound_label(h.upper_bounds[b])
-                                    : std::string("le_inf");
-      csv.row({"histogram", h.name, label,
-               std::to_string(h.bucket_counts[b])});
+    for (std::size_t b = 0; b < h.bin_counts.size(); ++b) {
+      if (h.bin_counts[b] == 0) continue;
+      csv.row({"histogram", h.name, bin_label(Histogram::upper_edge(b)),
+               std::to_string(h.bin_counts[b])});
     }
   }
 }

@@ -16,7 +16,8 @@ namespace gppm::obs {
 AsciiTable metrics_table(const MetricsSnapshot& snapshot);
 
 /// CSV rows `kind,name,field,value`; histograms expand to count/sum plus
-/// one `le_<bound>` row per bucket and `le_inf` for the overflow bucket.
+/// one `le_<upper edge>` row per non-empty bin, holding that bin's own
+/// count (not cumulative).
 void write_metrics_csv(const MetricsSnapshot& snapshot, std::ostream& out);
 
 /// Chrome trace_event JSON: one complete ("ph":"X") event per span, with

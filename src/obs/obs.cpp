@@ -1,12 +1,13 @@
 #include "obs/obs.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
-
-#include "common/error.hpp"
 
 namespace gppm::obs {
 
@@ -21,40 +22,83 @@ void set_enabled(bool on) {
 // ---------------------------------------------------------------------------
 // Histogram.
 
-Histogram::Histogram(std::vector<double> uppers)
-    : uppers_(std::move(uppers)), buckets_(uppers_.size() + 1) {
-  GPPM_CHECK(!uppers_.empty(), "histogram needs at least one bucket bound");
-  GPPM_CHECK(std::is_sorted(uppers_.begin(), uppers_.end()),
-             "histogram bounds must be ascending");
+namespace {
+
+using BinEdges = std::array<double, Histogram::kBins>;
+
+const BinEdges& bin_edges() {
+  static const BinEdges edges = [] {
+    BinEdges e;
+    for (std::size_t i = 0; i < e.size(); ++i) {
+      e[i] = 1e-7 * std::pow(10.0, static_cast<double>(i + 1) / 10.0);
+    }
+    return e;
+  }();
+  return edges;
 }
 
+/// First bin whose upper edge is >= v.  Every comparison with NaN is
+/// false, so NaN lands in bin 0 with the non-positives; values past the
+/// top edge clamp into the last bin.
+std::size_t bin_of(double v) {
+  const BinEdges& e = bin_edges();
+  if (!(v > e.front())) return 0;
+  return static_cast<std::size_t>(
+      std::lower_bound(e.begin(), e.end() - 1, v) - e.begin());
+}
+
+}  // namespace
+
+double Histogram::upper_edge(std::size_t bin) { return bin_edges()[bin]; }
+
 void Histogram::record(double v) {
-  if (!enabled()) return;
-  std::size_t b = 0;
-  while (b < uppers_.size() && v > uppers_[b]) ++b;
-  buckets_[b].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  // Sums accumulate in integer nanounits so concurrent records stay exact.
+  if (gated_ && !enabled()) return;
+  bins_[bin_of(v)].fetch_add(1, std::memory_order_relaxed);
   const double scaled = v * 1e9;
-  sum_nanos_.fetch_add(
-      scaled > 0.0 ? static_cast<std::uint64_t>(scaled) : 0,
-      std::memory_order_relaxed);
+  if (scaled > 0.0 && scaled < 0x1p64) {
+    sum_nanos_.fetch_add(static_cast<std::uint64_t>(scaled),
+                         std::memory_order_relaxed);
+  }
+  // Release after the bin: a quantile() that reads this count also sees
+  // every bin increment behind it, so its scan always reaches the rank.
+  count_.fetch_add(1, std::memory_order_release);
 }
 
 double Histogram::sum() const {
   return static_cast<double>(sum_nanos_.load(std::memory_order_relaxed)) / 1e9;
 }
 
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(buckets_.size());
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
+double Histogram::quantile(double q) const {
+  const std::uint64_t n = count_.load(std::memory_order_acquire);
+  if (n == 0) return std::numeric_limits<double>::infinity();
+  // Integer rank in [1, n]: q == 0 (or a NaN q) means the smallest sample,
+  // never the empty bins below it.
+  const double r = std::ceil(q * static_cast<double>(n));
+  std::uint64_t rank = 1;
+  if (r >= static_cast<double>(n)) {
+    rank = n;
+  } else if (r > 1.0) {
+    rank = static_cast<std::uint64_t>(r);
+  }
+  std::uint64_t seen = 0;
+  std::size_t i = 0;
+  for (; i + 1 < kBins; ++i) {
+    seen += bins_[i].load(std::memory_order_relaxed);
+    if (seen >= rank) break;
+  }
+  return upper_edge(i);
+}
+
+std::vector<std::uint64_t> Histogram::bin_counts() const {
+  std::vector<std::uint64_t> out(kBins);
+  for (std::size_t i = 0; i < kBins; ++i) {
+    out[i] = bins_[i].load(std::memory_order_relaxed);
   }
   return out;
 }
 
 void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  for (auto& b : bins_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_nanos_.store(0, std::memory_order_relaxed);
 }
@@ -98,12 +142,11 @@ Gauge& Registry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& Registry::histogram(const std::string& name,
-                               std::vector<double> upper_bounds) {
+Histogram& Registry::histogram(const std::string& name) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   auto& slot = im.histograms[name];
-  if (!slot) slot.reset(new Histogram(std::move(upper_bounds)));
+  if (!slot) slot.reset(new Histogram(Histogram::RegistryOwned{}));
   return *slot;
 }
 
@@ -121,8 +164,7 @@ MetricsSnapshot Registry::snapshot() const {
   }
   s.histograms.reserve(im.histograms.size());
   for (const auto& [name, h] : im.histograms) {
-    s.histograms.push_back(
-        {name, h->upper_bounds(), h->bucket_counts(), h->count(), h->sum()});
+    s.histograms.push_back({name, h->bin_counts(), h->count(), h->sum()});
   }
   return s;
 }

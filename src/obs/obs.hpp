@@ -6,7 +6,7 @@
 // pipeline itself is instrumented.  This layer gives every subsystem one
 // shared vocabulary:
 //
-//   * a metrics registry — named Counters, Gauges and fixed-bucket
+//   * a metrics registry — named Counters, Gauges and log-binned
 //     Histograms.  Registration takes a mutex once; the returned instrument
 //     reference is stable for the process lifetime, and every hot-path
 //     record is a single relaxed atomic op.
@@ -99,26 +99,46 @@ class Gauge {
   std::atomic<std::int64_t> max_{0};
 };
 
-/// Fixed-bucket histogram: explicit upper bounds (ascending) plus an
-/// implicit overflow bucket.  record() is lock-free: one linear bucket scan
-/// over a handful of bounds and two relaxed atomic ops.
+/// The one histogram type: log-spaced bins, 10 per decade, with a single
+/// fixed geometry shared by every instance.  Bin i holds the values in
+/// (upper_edge(i-1), upper_edge(i)], upper_edge(i) = 1e-7 * 10^((i+1)/10);
+/// the 160 bins span 1e-7 .. 1e9, so seconds, microseconds, milliseconds
+/// and queue depths all fit.  Bin 0 also takes 0, negatives, NaN and -inf;
+/// the last bin takes everything above 1e9, +inf included.  One bin is a
+/// factor 10^0.1 (~26%) wide.
+///
+/// record() is lock-free: a binary search over the edges and three atomic
+/// ops.  A Histogram you construct records always; one handed out by the
+/// Registry records only while obs is enabled, like Counter and Gauge.
 class Histogram {
  public:
+  static constexpr std::size_t kBins = 160;
+
+  Histogram() = default;
+
   void record(double v);
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  /// Sum of the recorded values that are positive and below 2^64 / 1e9
+  /// (accumulated in integer 1e-9 units, so concurrent records stay exact).
   double sum() const;
-  const std::vector<double>& upper_bounds() const { return uppers_; }
-  /// Bucket counts; size() == upper_bounds().size() + 1 (last = overflow).
-  std::vector<std::uint64_t> bucket_counts() const;
+  /// Upper edge of the bin holding the rank-th smallest sample, rank =
+  /// clamp(ceil(q * count), 1, count); +inf with no samples ("no estimate":
+  /// a caller clamping into a band lands on its ceiling, not its floor).
+  /// Scans only up to that bin.
+  double quantile(double q) const;
+  /// Per-bin counts (not cumulative), kBins entries.
+  std::vector<std::uint64_t> bin_counts() const;
+  static double upper_edge(std::size_t bin);
 
  private:
   friend class Registry;
-  explicit Histogram(std::vector<double> uppers);
+  struct RegistryOwned {};
+  explicit Histogram(RegistryOwned) : gated_(true) {}
   void reset();
-  std::vector<double> uppers_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;  // uppers_.size() + 1
+  const bool gated_ = false;  // true: records only while obs is enabled
   std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_nanos_{0};  // sum scaled by 1e9 for atomicity
+  std::atomic<std::uint64_t> sum_nanos_{0};
+  std::atomic<std::uint64_t> bins_[kBins] = {};
 };
 
 /// One registry row per instrument kind, materialized by snapshot().
@@ -133,8 +153,7 @@ struct GaugeRow {
 };
 struct HistogramRow {
   std::string name;
-  std::vector<double> upper_bounds;
-  std::vector<std::uint64_t> bucket_counts;  // bounds + overflow
+  std::vector<std::uint64_t> bin_counts;  // Histogram::kBins, per bin
   std::uint64_t count = 0;
   double sum = 0.0;
 };
@@ -159,10 +178,7 @@ class Registry {
 
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// Find or create; `upper_bounds` must be non-empty and ascending, and is
-  /// ignored when the histogram already exists.
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> upper_bounds);
+  Histogram& histogram(const std::string& name);
 
   MetricsSnapshot snapshot() const;
 

@@ -1,7 +1,5 @@
 #include "serve/metrics.hpp"
 
-#include <cmath>
-
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/str.hpp"
@@ -12,9 +10,9 @@ namespace gppm::serve {
 namespace {
 
 // Shared-registry instruments the recorders below mirror into.  The
-// collector's own atomic cells stay authoritative — the obs bridge adds
-// one enabled-flag branch per record and nothing else, so the serve table
-// and CSV output are byte-identical with obs on or off.
+// collector's own histograms and cells stay authoritative — the obs bridge
+// adds one enabled-flag branch per record and nothing else, so the serve
+// table and CSV output are byte-identical with obs on or off.
 struct ServeInstruments {
   obs::Counter& requests;
   obs::Counter& batches;
@@ -32,8 +30,7 @@ struct ServeInstruments {
         obs::Registry::instance().counter("serve.shed"),
         obs::Registry::instance().counter("serve.deadline_expired"),
         obs::Registry::instance().counter("serve.errors"),
-        obs::Registry::instance().histogram(
-            "serve.latency_us", {10.0, 100.0, 1000.0, 10000.0, 100000.0}),
+        obs::Registry::instance().histogram("serve.latency_us"),
     };
     return *in;
   }
@@ -61,30 +58,12 @@ std::string to_string(ResponseStatus status) {
   throw Error("unknown response status");
 }
 
-std::size_t MetricsCollector::latency_bin(double seconds) {
-  if (seconds <= kLatencyMinSeconds) return 0;
-  const double decades = std::log10(seconds / kLatencyMinSeconds);
-  const auto bin = static_cast<std::size_t>(decades * kBinsPerDecade);
-  return bin >= kLatencyBins ? kLatencyBins - 1 : bin;
-}
-
-double MetricsCollector::bin_upper_seconds(std::size_t bin) {
-  return kLatencyMinSeconds *
-         std::pow(10.0, static_cast<double>(bin + 1) / kBinsPerDecade);
-}
-
 void MetricsCollector::record_request(RequestKind kind,
                                       double latency_seconds) {
-  EndpointCells& cells = endpoints_[static_cast<std::size_t>(kind)];
-  cells.requests.fetch_add(1, std::memory_order_relaxed);
-  cells.latency_nanos.fetch_add(
-      static_cast<std::uint64_t>(latency_seconds * 1e9),
-      std::memory_order_relaxed);
-  cells.bins[latency_bin(latency_seconds)].fetch_add(
-      1, std::memory_order_relaxed);
+  latency_[static_cast<std::size_t>(kind)].record(latency_seconds);
   ServeInstruments& ins = ServeInstruments::instance();
   ins.requests.add();
-  if (obs::enabled()) ins.latency_us.record(latency_seconds * 1e6);
+  ins.latency_us.record(latency_seconds * 1e6);
 }
 
 void MetricsCollector::record_batch(std::size_t batch_size) {
@@ -161,42 +140,18 @@ void MetricsCollector::record_tenant_cache_hit(std::uint32_t tenant) {
   }
 }
 
-namespace {
-
-double histogram_quantile(
-    const std::array<std::uint64_t, kLatencyBins>& bins, std::uint64_t total,
-    double q) {
-  if (total == 0) return 0.0;
-  const auto rank = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total)));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kLatencyBins; ++i) {
-    seen += bins[i];
-    if (seen >= rank) return MetricsCollector::bin_upper_seconds(i);
-  }
-  return MetricsCollector::bin_upper_seconds(kLatencyBins - 1);
-}
-
-}  // namespace
-
 ServerMetrics MetricsCollector::snapshot() const {
   ServerMetrics m;
   for (std::size_t e = 0; e < kRequestKindCount; ++e) {
-    const EndpointCells& cells = endpoints_[e];
+    const obs::Histogram& latency = latency_[e];
     EndpointStats& out = m.endpoints[e];
-    std::array<std::uint64_t, kLatencyBins> bins;
-    out.requests = cells.requests.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < kLatencyBins; ++i) {
-      bins[i] = cells.bins[i].load(std::memory_order_relaxed);
-    }
+    out.requests = latency.count();
     if (out.requests > 0) {
       out.mean_latency_seconds =
-          static_cast<double>(
-              cells.latency_nanos.load(std::memory_order_relaxed)) /
-          1e9 / static_cast<double>(out.requests);
-      out.p50_seconds = histogram_quantile(bins, out.requests, 0.50);
-      out.p95_seconds = histogram_quantile(bins, out.requests, 0.95);
-      out.p99_seconds = histogram_quantile(bins, out.requests, 0.99);
+          latency.sum() / static_cast<double>(out.requests);
+      out.p50_seconds = latency.quantile(0.50);
+      out.p95_seconds = latency.quantile(0.95);
+      out.p99_seconds = latency.quantile(0.99);
     }
     m.total_requests += out.requests;
   }

@@ -1,10 +1,10 @@
 // Serving observability: request counts, latency distributions, batch
 // shapes, queue saturation, cache effectiveness.
 //
-// Workers record into lock-free atomic histograms (fixed log-spaced
-// latency bins, exact batch-size bins); snapshot() materializes a plain
-// ServerMetrics value that renders as the standard ASCII table and as CSV,
-// the same two formats every reproduction bench emits.
+// Workers record into lock-free atomic histograms (one obs::Histogram of
+// latencies per endpoint, exact batch-size bins); snapshot() materializes
+// a plain ServerMetrics value that renders as the standard ASCII table and
+// as CSV, the same two formats every reproduction bench emits.
 #pragma once
 
 #include <array>
@@ -17,17 +17,11 @@
 #include <vector>
 
 #include "common/table.hpp"
+#include "obs/obs.hpp"
 #include "serve/cache.hpp"
 #include "serve/request.hpp"
 
 namespace gppm::serve {
-
-/// Latency histogram geometry: log10-spaced bins, 10 per decade, covering
-/// 100 ns .. 1000 s.  Resolution is one bin = factor 10^0.1 (~26% wide),
-/// plenty for p50/p95/p99 reporting.
-inline constexpr std::size_t kLatencyBins = 100;
-inline constexpr double kLatencyMinSeconds = 1e-7;
-inline constexpr std::size_t kBinsPerDecade = 10;
 
 /// Batch sizes are tracked exactly up to this value; larger batches clamp
 /// into the last bin.
@@ -99,20 +93,14 @@ class MetricsCollector {
 
   /// Materialize a snapshot.  Bins are read without a global lock; counts
   /// recorded concurrently with the snapshot may land in either view.
+  /// Percentiles are obs::Histogram::quantile(): the upper edge of the
+  /// 10^0.1-wide bin holding the rank.
   ServerMetrics snapshot() const;
 
-  /// Latency bin index for a duration (exposed for tests).
-  static std::size_t latency_bin(double seconds);
-  /// Upper edge of a latency bin in seconds (exposed for tests).
-  static double bin_upper_seconds(std::size_t bin);
-
  private:
-  struct EndpointCells {
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> latency_nanos{0};
-    std::array<std::atomic<std::uint64_t>, kLatencyBins> bins{};
-  };
-  std::array<EndpointCells, kRequestKindCount> endpoints_;
+  /// Latency in seconds, one histogram per endpoint.  Records always,
+  /// whether or not obs is enabled.
+  std::array<obs::Histogram, kRequestKindCount> latency_;
   std::array<std::atomic<std::uint64_t>, kMaxTrackedBatch> batch_bins_{};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batch_items_{0};

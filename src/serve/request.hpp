@@ -8,6 +8,7 @@
 // (the "dynamic runtime management" future work via core/governor).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -83,5 +84,17 @@ struct Response {
 
   bool ok() const { return status == ResponseStatus::Ok; }
 };
+
+/// The "same answer" gate: equal status and pair, and the same bits in
+/// each of the three predictions — so 0.0 and -0.0 differ, and a NaN
+/// matches an identical NaN.  Error text, cache_hit and latency are not
+/// compared: they legitimately differ between servers of one request.
+inline bool bit_identical(const Response& a, const Response& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return a.status == b.status && a.pair == b.pair &&
+         bits(a.power_watts) == bits(b.power_watts) &&
+         bits(a.time_seconds) == bits(b.time_seconds) &&
+         bits(a.energy_joules) == bits(b.energy_joules);
+}
 
 }  // namespace gppm::serve

@@ -39,12 +39,6 @@ serve::Request predict_request(std::size_t sample_index) {
   return r;
 }
 
-bool same_answer(const serve::Response& a, const serve::Response& b) {
-  return a.status == b.status && a.pair == b.pair &&
-         a.power_watts == b.power_watts && a.time_seconds == b.time_seconds &&
-         a.energy_joules == b.energy_joules;
-}
-
 TEST(ClusterChaos, KillAndRestartUnderConcurrentLoadStaysBitIdentical) {
   // Ground truth from a plain single-node server on the same model pair.
   constexpr std::size_t kSamples = 8;
@@ -88,7 +82,7 @@ TEST(ClusterChaos, KillAndRestartUnderConcurrentLoadStaysBitIdentical) {
         ++answered;
         if (r.ok()) {
           ++ok;
-          if (!same_answer(r, truth[sample])) ++divergent;
+          if (!serve::bit_identical(r, truth[sample])) ++divergent;
         } else {
           ++refused;
         }

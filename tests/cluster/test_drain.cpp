@@ -239,12 +239,6 @@ serve::Request predict_request(std::size_t sample_index) {
   return r;
 }
 
-bool same_answer(const serve::Response& a, const serve::Response& b) {
-  return a.status == b.status && a.pair == b.pair &&
-         a.power_watts == b.power_watts && a.time_seconds == b.time_seconds &&
-         a.energy_joules == b.energy_joules;
-}
-
 TEST(ClusterFleetReconfig, AddDrainRejoinLifecycle) {
   FleetOptions fopt;
   fopt.backends = 2;
@@ -317,7 +311,7 @@ TEST(ClusterFleetReconfig, RollingRestartIsZeroLossUnderTraffic) {
         ++answered;
         if (!r.ok()) {
           ++not_ok;
-        } else if (!same_answer(r, truth[sample])) {
+        } else if (!serve::bit_identical(r, truth[sample])) {
           ++divergent;
         }
       }

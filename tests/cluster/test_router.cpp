@@ -211,7 +211,7 @@ TEST(ClusterRouter, EmptyLatencyWindowHasNoQuantileEstimate) {
   // Regression: an empty tracker answered 0.0, which callers clamping into
   // a delay band turned into the *aggressive* floor.  "No samples" is "no
   // estimate" — the sentinel is +inf so such clamps land on the ceiling.
-  LatencyTracker tracker;
+  obs::Histogram tracker;
   EXPECT_TRUE(std::isinf(tracker.quantile(0.0)));
   EXPECT_TRUE(std::isinf(tracker.quantile(0.5)));
   EXPECT_TRUE(std::isinf(tracker.quantile(0.99)));
@@ -222,11 +222,11 @@ TEST(ClusterRouter, SingleSampleWindowAnswersItsOwnBinAtEveryQuantile) {
   // q == 0 (rank 0) matched the empty bin 0 and reported ~1.19 us for a
   // window whose only sample was 10 ms.  Every quantile of a one-sample
   // window must return that sample's own bin edge.
-  LatencyTracker tracker;
+  obs::Histogram tracker;
   tracker.record(0.010);  // 10 ms
   const double edge = tracker.quantile(0.5);
   EXPECT_GT(edge, 0.008);
-  EXPECT_LT(edge, 0.014);  // ~19 % log-bin width around 10 ms
+  EXPECT_LT(edge, 0.014);  // one 10^0.1 (~26 %) log bin at 10 ms
   EXPECT_DOUBLE_EQ(tracker.quantile(0.0), edge);
   EXPECT_DOUBLE_EQ(tracker.quantile(0.99), edge);
   EXPECT_DOUBLE_EQ(tracker.quantile(1.0), edge);

@@ -2,12 +2,39 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 namespace gppm::serve {
 namespace {
+
+TEST(ServeResponse, BitIdenticalComparesBitsNotValues) {
+  Response a;
+  a.power_watts = 0.0;
+  a.time_seconds = 1.5;
+  a.energy_joules = std::nan("");
+  Response b = a;
+  EXPECT_TRUE(bit_identical(a, b));  // identical NaNs match; == says no
+  b.power_watts = -0.0;
+  EXPECT_FALSE(bit_identical(a, b));  // 0.0 vs -0.0 differ; == says equal
+  b = a;
+  b.energy_joules = -a.energy_joules;  // a NaN with its sign bit flipped
+  EXPECT_FALSE(bit_identical(a, b));
+  b = a;
+  b.status = ResponseStatus::Overloaded;
+  EXPECT_FALSE(bit_identical(a, b));
+  b = a;
+  b.pair = {sim::ClockLevel::Low, sim::ClockLevel::Low};
+  EXPECT_FALSE(bit_identical(a, b));
+  // Per-server metadata is not part of the answer.
+  b = a;
+  b.error = "detail";
+  b.cache_hit = true;
+  b.latency = Duration::seconds(1.0);
+  EXPECT_TRUE(bit_identical(a, b));
+}
 
 TEST(ServeMetrics, RequestKindNames) {
   EXPECT_EQ(to_string(RequestKind::Predict), "predict");
@@ -16,14 +43,16 @@ TEST(ServeMetrics, RequestKindNames) {
 }
 
 TEST(ServeMetrics, LatencyBinsAreMonotone) {
-  std::size_t prev = 0;
+  // A lone latency reports its own bin's upper edge as p50: the edge grows
+  // with the latency and never sits below it.
+  double prev = 0.0;
   for (double s : {1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0}) {
-    const std::size_t bin = MetricsCollector::latency_bin(s);
-    EXPECT_GE(bin, prev);
-    prev = bin;
-    EXPECT_LT(bin, kLatencyBins);
-    // The recorded value sits at or below its bin's upper edge.
-    EXPECT_LE(s, MetricsCollector::bin_upper_seconds(bin) * 1.0000001);
+    MetricsCollector collector;
+    collector.record_request(RequestKind::Predict, s);
+    const double edge = collector.snapshot().endpoints[0].p50_seconds;
+    EXPECT_GE(edge, prev);
+    prev = edge;
+    EXPECT_LE(s, edge * 1.0000001);
   }
 }
 
@@ -45,6 +74,88 @@ TEST(ServeMetrics, PercentilesFromKnownDistribution) {
   EXPECT_NEAR(s.p99_seconds, 10e-3, 10e-3);
   EXPECT_GT(s.p95_seconds, s.p50_seconds);
   EXPECT_NEAR(s.mean_latency_seconds, 0.9 * 10e-6 + 0.1 * 10e-3, 1e-4);
+}
+
+TEST(ServeMetrics, GoldenTableAndCsvFromFixedLatencies) {
+  // Latencies chosen off the bin edges; the expected renderings were
+  // captured from the collector's earlier private log10 bins, so moving
+  // onto obs::Histogram must not change a byte.
+  MetricsCollector collector;
+  for (double s : {3.3e-6, 4.4e-6, 5.3e-6, 6.5e-6, 7.4e-6, 8.3e-6, 9.2e-6,
+                   1.17e-5, 1.42e-5, 2.3e-5, 3.6e-5, 5.4e-5, 2.9e-4, 3.7e-3,
+                   1.9e-6, 2.6e-6, 1.7e-5, 1.9e-5, 2.7e-5, 4.2e-5, 8.6e-5,
+                   1.2e-4, 6.1e-4, 1.15e-3, 0.017}) {
+    collector.record_request(RequestKind::Predict, s);
+  }
+  for (double s : {2.2e-5, 3.4e-5, 4.5e-5, 6.9e-5, 9.3e-5, 1.9e-4, 7.2e-4,
+                   0.0261, 0.43}) {
+    collector.record_request(RequestKind::Optimize, s);
+  }
+  for (double s : {1.8e-6, 0.0023, 1.33}) {
+    collector.record_request(RequestKind::Govern, s);
+  }
+  collector.record_batch(1);
+  collector.record_batch(3);
+  collector.record_batch(3);
+  collector.record_rejected();
+  collector.record_shed();
+  collector.record_deadline_expired();
+  collector.record_error_response();
+  ServerMetrics m = collector.snapshot();
+  m.queue_high_water = 7;
+  m.cache.entries = 12;
+  m.cache.capacity = 64;
+  m.cache.hits = 5;
+  m.cache.misses = 2;
+  m.cache.evictions = 1;
+  std::ostringstream table;
+  m.print(table);
+  std::ostringstream csv;
+  m.write_csv(csv);
+
+  EXPECT_EQ(table.str(), R"(serve metrics
++----------+----------+-----------+---------+------------+------------+
+| endpoint | requests | mean us   | p50 us  | p95 us     | p99 us     |
++----------+----------+-----------+---------+------------+------------+
+| predict  | 25       | 929.95    | 19.95   | 3981.07    | 19952.62   |
+| optimize | 9        | 50808.11  | 100.00  | 501187.23  | 501187.23  |
+| govern   | 3        | 444100.60 | 2511.89 | 1584893.19 | 1584893.19 |
++----------+----------+-----------+---------+------------+------------+
+total 37 requests (1 rejected, 1 shed, 1 past deadline, 1 errors), 3 batches, mean batch 2.33, max batch 3, queue high-water 7
+cache: 12/64 entries, 5 hits / 2 misses (hit rate 71.4%), 1 evictions
+)");
+  EXPECT_EQ(csv.str(), R"(record,key,value
+requests,predict,25
+mean_us,predict,929.952
+p50_us,predict,19.953
+p95_us,predict,3981.072
+p99_us,predict,19952.623
+requests,optimize,9
+mean_us,optimize,50808.111
+p50_us,optimize,100.000
+p95_us,optimize,501187.234
+p99_us,optimize,501187.234
+requests,govern,3
+mean_us,govern,444100.600
+p50_us,govern,2511.886
+p95_us,govern,1584893.192
+p99_us,govern,1584893.192
+summary,total_requests,37
+summary,rejected_requests,1
+summary,shed_requests,1
+summary,deadline_expired,1
+summary,error_responses,1
+summary,batches,3
+summary,mean_batch,2.333
+summary,max_batch,3
+summary,queue_high_water,7
+summary,cache_hits,5
+summary,cache_misses,2
+summary,cache_hit_rate,0.7143
+summary,cache_evictions,1
+batch_size,1,1
+batch_size,3,2
+)");
 }
 
 TEST(ServeMetrics, EndpointsAreIndependent) {

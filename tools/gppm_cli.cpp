@@ -23,7 +23,8 @@
 //                                       wire (gppm::net RPC; port 0 picks
 //                                       an ephemeral port, printed on start)
 //   gppm serve-bench <gpu> [options]    replay a synthetic trace against the
-//                                       concurrent prediction server
+//                                       concurrent prediction server (fitted
+//                                       in-process or loaded from files)
 //   gppm chaos <gpu> [options]          characterize under injected
 //                                       instrument faults; report coverage
 //                                       and divergence vs the fault-free run
@@ -42,6 +43,7 @@
 //
 // GPU names: gtx285, gtx460, gtx480, gtx680.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -102,6 +104,8 @@ int usage(std::ostream& out, int code) {
          " [--admission]]\n"
          "  gppm serve-bench <gpu> [--requests N] [--workers N] [--clients N]"
          " [--cache N] [--jitter F]\n"
+         "                  [--all-sizes] [--csv]"
+         " [--power-model FILE --perf-model FILE]\n"
          "  gppm chaos <gpu> [--fault-profile FILE] [--seed N]"
          " [--benchmarks N]\n"
          "  gppm mix <gpu> [--mixes N] [--degree D] [--seed N] [--fit]\n"
@@ -112,14 +116,6 @@ int usage(std::ostream& out, int code) {
 }
 
 int usage() { return usage(std::cerr, 2); }
-
-sim::GpuModel parse_gpu(const std::string& name) {
-  if (name == "gtx285") return sim::GpuModel::GTX285;
-  if (name == "gtx460") return sim::GpuModel::GTX460;
-  if (name == "gtx480") return sim::GpuModel::GTX480;
-  if (name == "gtx680") return sim::GpuModel::GTX680;
-  throw Error("unknown GPU '" + name + "' (expected gtx285/460/480/680)");
-}
 
 int cmd_specs() {
   AsciiTable table({"GPU", "arch", "cores", "GFLOPS", "GB/s", "TDP W",
@@ -137,7 +133,7 @@ int cmd_specs() {
 }
 
 int cmd_pairs(const std::string& gpu) {
-  const sim::GpuModel model = parse_gpu(gpu);
+  const sim::GpuModel model = sim::parse_gpu(gpu);
   const sim::DeviceSpec& spec = sim::device_spec(model);
   AsciiTable table({"pair", "core MHz", "mem MHz"});
   for (sim::FrequencyPair p : dvfs::configurable_pairs(model)) {
@@ -150,7 +146,7 @@ int cmd_pairs(const std::string& gpu) {
 }
 
 int cmd_counters(const std::string& gpu) {
-  const sim::GpuModel model = parse_gpu(gpu);
+  const sim::GpuModel model = sim::parse_gpu(gpu);
   const auto& catalog =
       profiler::counter_catalog(sim::device_spec(model).architecture);
   AsciiTable table({"#", "counter", "class"});
@@ -216,7 +212,7 @@ int cmd_benchmarks() {
 }
 
 int cmd_sweep(const std::string& gpu, const std::string& bench_name) {
-  const sim::GpuModel model = parse_gpu(gpu);
+  const sim::GpuModel model = sim::parse_gpu(gpu);
   const workload::BenchmarkDef& bench = workload::find_benchmark(bench_name);
   core::MeasurementRunner runner(model);
   const core::Sweep sweep =
@@ -243,7 +239,7 @@ int cmd_sweep(const std::string& gpu, const std::string& bench_name) {
 int cmd_fit(int argc, char** argv) {
   // gppm fit <gpu> <target> [--out FILE] [--v2f] [--baseline]
   if (argc < 4) return usage();
-  const sim::GpuModel model = parse_gpu(argv[2]);
+  const sim::GpuModel model = sim::parse_gpu(argv[2]);
   const std::string target_name = argv[3];
   if (target_name != "power" && target_name != "exectime") return usage();
   const core::TargetKind target = target_name == "power"
@@ -324,7 +320,7 @@ int cmd_predict(int argc, char** argv) {
 int cmd_governor(int argc, char** argv) {
   // gppm governor <gpu> <bench> [bench...]
   if (argc < 4) return usage();
-  const sim::GpuModel model = parse_gpu(argv[2]);
+  const sim::GpuModel model = sim::parse_gpu(argv[2]);
 
   std::cout << "training models for " << sim::to_string(model) << "...\n";
   const core::Dataset ds = core::build_dataset(model);
@@ -365,7 +361,7 @@ int cmd_govern(int argc, char** argv) {
   //             [--seed N] [--cap W] [--max-slowdown F] [--window N]
   //             [--refit N] [--no-baselines]
   if (argc < 3) return usage();
-  const sim::GpuModel model = parse_gpu(argv[2]);
+  const sim::GpuModel model = sim::parse_gpu(argv[2]);
 
   governor::LoopOptions opt;
   std::size_t phase_count = 24;
@@ -458,7 +454,7 @@ int cmd_serve(int argc, char** argv) {
   //                  [--cluster N [--replicas R] [--supervise]
   //                  [--admission]]
   if (argc < 3) return usage();
-  const sim::GpuModel model = parse_gpu(argv[2]);
+  const sim::GpuModel model = sim::parse_gpu(argv[2]);
   bool listen = false;
   std::uint16_t port = 0;
   std::size_t workers = 4, cache = 1 << 16;
@@ -598,11 +594,14 @@ int cmd_serve(int argc, char** argv) {
 
 int cmd_serve_bench(int argc, char** argv) {
   // gppm serve-bench <gpu> [--requests N] [--workers N] [--clients N]
-  //                        [--cache N] [--jitter F]
+  //                        [--cache N] [--jitter F] [--all-sizes] [--csv]
+  //                        [--power-model FILE --perf-model FILE]
   if (argc < 3) return usage();
-  const sim::GpuModel model = parse_gpu(argv[2]);
+  sim::GpuModel model = sim::parse_gpu(argv[2]);
   std::size_t requests = 5000, workers = 4, clients = 4, cache = 1 << 16;
   double jitter = 0.0;
+  bool all_sizes = false, csv = false;
+  std::string power_path, perf_path;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
@@ -616,27 +615,50 @@ int cmd_serve_bench(int argc, char** argv) {
       cache = std::stoul(argv[++i]);
     } else if (arg == "--jitter" && has_value) {
       jitter = std::stod(argv[++i]);
+    } else if (arg == "--all-sizes") {
+      all_sizes = true;
+    } else if (arg == "--csv") {
+      csv = true;
+    } else if (arg == "--power-model" && has_value) {
+      power_path = argv[++i];
+    } else if (arg == "--perf-model" && has_value) {
+      perf_path = argv[++i];
     } else {
       return usage();
     }
   }
-  if (requests == 0 || workers == 0 || clients == 0) return usage();
-
-  std::cout << "fitting models for " << sim::to_string(model)
-            << " (extended form)...\n";
-  const core::Dataset ds = core::build_dataset(model);
-  core::ModelOptions popt;
-  popt.scaling = core::FeatureScaling::VoltageSquaredFrequency;
-  popt.include_baseline_terms = true;
+  if (requests == 0 || workers == 0 || clients == 0 ||
+      power_path.empty() != perf_path.empty()) {
+    return usage();
+  }
+  // Ctrl-C drains the replay: clients launch nothing new, the partial
+  // report prints, the obs artifacts flush, and the exit code is 0.
+  install_shutdown_handler();
 
   serve::ServerOptions sopt;
   sopt.worker_threads = workers;
   sopt.cache_capacity = cache;
   serve::PredictionServer server(sopt);
-  server.load_models(core::UnifiedModel::fit(ds, core::TargetKind::Power, popt),
-                     core::UnifiedModel::fit(ds, core::TargetKind::ExecTime));
+  if (!power_path.empty()) {
+    // The trace must target the board the files were fitted for, which
+    // wins over the positional one.
+    model = server.load_model_files(power_path, perf_path);
+    std::cout << "loaded models for " << sim::to_string(model) << " from "
+              << power_path << " + " << perf_path << "\n";
+  } else {
+    std::cout << "fitting models for " << sim::to_string(model)
+              << " (extended form)...\n";
+    const core::Dataset ds = core::build_dataset(model);
+    core::ModelOptions popt;
+    popt.scaling = core::FeatureScaling::VoltageSquaredFrequency;
+    popt.include_baseline_terms = true;
+    server.load_models(
+        core::UnifiedModel::fit(ds, core::TargetKind::Power, popt),
+        core::UnifiedModel::fit(ds, core::TargetKind::ExecTime));
+  }
 
-  const serve::PhaseCorpus corpus = serve::build_phase_corpus(model);
+  const serve::PhaseCorpus corpus =
+      serve::build_phase_corpus(model, all_sizes);
   serve::TraceOptions topt;
   topt.request_count = requests;
   topt.counter_jitter = jitter;
@@ -648,10 +670,16 @@ int cmd_serve_bench(int argc, char** argv) {
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> pool;
   pool.reserve(clients);
+  std::atomic<std::size_t> failed{0};
   for (std::size_t c = 0; c < clients; ++c) {
     pool.emplace_back([&, c] {
       for (std::size_t i = c; i < trace.size(); i += clients) {
-        server.submit(trace[i]).get();
+        if (shutdown_requested()) break;
+        try {
+          server.submit(trace[i]).get();
+        } catch (const std::exception&) {
+          failed.fetch_add(1, std::memory_order_relaxed);
+        }
       }
     });
   }
@@ -661,18 +689,26 @@ int cmd_serve_bench(int argc, char** argv) {
           .count();
 
   server.shutdown();
-  server.metrics().print(std::cout);
+  const serve::ServerMetrics metrics = server.metrics();
+  metrics.print(std::cout);
+  if (failed.load() > 0) std::cout << failed.load() << " requests failed\n";
   std::cout << "replayed " << trace.size() << " requests in "
             << format_double(elapsed, 3) << " s = "
             << format_double(static_cast<double>(trace.size()) / elapsed, 0)
             << " req/s\n";
+  if (csv) {
+    std::cout << "BEGIN-CSV serve_metrics\n";
+    metrics.write_csv(std::cout);
+    std::cout << "END-CSV\n";
+  }
+  if (shutdown_requested()) std::cout << "interrupted: partial replay\n";
   return 0;
 }
 
 int cmd_chaos(int argc, char** argv) {
   // gppm chaos <gpu> [--fault-profile FILE] [--seed N] [--benchmarks N]
   if (argc < 3) return usage();
-  const sim::GpuModel model = parse_gpu(argv[2]);
+  const sim::GpuModel model = sim::parse_gpu(argv[2]);
   fault::FaultPlan plan = fault::FaultPlan::default_profile();
   std::uint64_t seed = 7;
   std::size_t benchmark_limit = 0;
@@ -721,7 +757,7 @@ int cmd_chaos(int argc, char** argv) {
 int cmd_mix(int argc, char** argv) {
   // gppm mix <gpu> [--mixes N] [--degree D] [--seed N] [--fit]
   if (argc < 3) return usage();
-  const sim::GpuModel model = parse_gpu(argv[2]);
+  const sim::GpuModel model = sim::parse_gpu(argv[2]);
   std::size_t mixes = 8;
   std::size_t degree = 2;
   std::uint64_t seed = 42;

@@ -132,14 +132,6 @@ void parse_connect(const std::string& value, Options& opt) {
   opt.port = static_cast<std::uint16_t>(port);
 }
 
-sim::GpuModel parse_gpu(const std::string& name) {
-  if (name == "gtx285") return sim::GpuModel::GTX285;
-  if (name == "gtx460") return sim::GpuModel::GTX460;
-  if (name == "gtx480") return sim::GpuModel::GTX480;
-  if (name == "gtx680") return sim::GpuModel::GTX680;
-  throw Error("unknown GPU '" + name + "' (expected gtx285/460/480/680)");
-}
-
 double percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   const std::size_t index = static_cast<std::size_t>(
@@ -155,20 +147,11 @@ void add_latency_rows(AsciiTable& table, const std::vector<double>& sorted) {
       {"p999 us", format_double(percentile(sorted, 0.999) * 1e6, 1)});
 }
 
-/// The cluster gate: two answers to the same pure request must agree on
-/// everything the caller acts on.  Transport metadata (cache_hit, latency)
-/// legitimately differs between replicas and is excluded.
-bool same_answer(const serve::Response& a, const serve::Response& b) {
-  return a.status == b.status && a.pair == b.pair &&
-         a.power_watts == b.power_watts && a.time_seconds == b.time_seconds &&
-         a.energy_joules == b.energy_joules;
-}
-
 /// Self-hosted fleet mode: build models once, answer the whole trace from
 /// a reference single-node server, then drive the routed fleet and demand
 /// bit-identity for every successful response.
 int run_cluster(const Options& opt) {
-  const sim::GpuModel board = parse_gpu(opt.gpu);
+  const sim::GpuModel board = sim::parse_gpu(opt.gpu);
   std::cout << "fitting models for " << sim::to_string(board)
             << " (extended form)...\n";
   const core::Dataset ds = core::build_dataset(board);
@@ -376,7 +359,7 @@ int run_cluster(const Options& opt) {
         // single-node ground truth bit for bit.  Typed failures (a replica
         // set momentarily dead under chaos) are visible above as non-Ok
         // status counts — they are refusals, never wrong answers.
-        if (r.ok() && !same_answer(r, truth[i])) ++local_divergent;
+        if (r.ok() && !serve::bit_identical(r, truth[i])) ++local_divergent;
       }
       std::lock_guard<std::mutex> lock(merge_mutex);
       latencies.insert(latencies.end(), local_lat.begin(), local_lat.end());

@@ -16,8 +16,10 @@
 #   4. ASan:   -DGPPM_SANITIZE=address build, then the chaos_smoke and
 #      simd_smoke targets (fault-injection/chaos suites, plus the
 #      zero-copy span-aliasing fuzz where ASan can catch a dangling
-#      payload view), and the linalg and stats suites, whose QR, Gram and
-#      selection loops index raw column pointers;
+#      payload view), the obs_smoke and serve_smoke targets (every
+#      recorded latency picks a histogram bin from a double), and the
+#      linalg and stats suites, whose QR, Gram and selection loops index
+#      raw column pointers;
 #   5. benchmark: benchmark/run.sh --smoke (every workload at a tenth of
 #      its run length, correctness checks included), then the benchmark's
 #      own ctest suite (loadgen self-tests and one smoke per workload).
@@ -72,12 +74,15 @@ do
   cmake --build "$repo/build-tsan" --target "$target"
 done
 
-echo "== ASan: build + chaos/simd smokes + linalg/stats suites =="
+echo "== ASan: build + chaos/simd smokes + linalg/stats/obs/serve suites =="
 cmake -B "$repo/build-asan" -S "$repo" -DGPPM_SANITIZE=address >/dev/null
 cmake --build "$repo/build-asan" -j"$jobs" \
-  --target test_fault test_chaos test_simd test_linalg test_stats
+  --target test_fault test_chaos test_simd test_linalg test_stats test_obs \
+           test_serve
 cmake --build "$repo/build-asan" --target chaos_smoke
 cmake --build "$repo/build-asan" --target simd_smoke
+cmake --build "$repo/build-asan" --target obs_smoke
+cmake --build "$repo/build-asan" --target serve_smoke
 for suite in test_linalg test_stats; do
   echo "-- $suite"
   "$repo/build-asan/tests/$suite" --gtest_brief=1
