@@ -14,10 +14,11 @@
 //     being waited out.
 //   * chaos — a wire fleet (each node behind its own loopback gppm::net
 //     server) with every client socket routed through the net.* fault
-//     sites while backends are killed and restarted round-robin under
-//     load.  Every successful response must be bit-identical to a
-//     single untouched reference server's answer: refusals are visible as
-//     typed statuses, wrong answers are a failed bench.
+//     sites while backends are killed and restarted under load, victims
+//     drawn from the seeded cluster::ChaosSchedule.  Every successful
+//     response must be bit-identical to a single untouched reference
+//     server's answer: refusals are visible as typed statuses, wrong
+//     answers are a failed bench.
 //   * reconfig — rolling drain/restart of every backend (the zero-downtime
 //     upgrade path: drain -> restart -> rejoin, one node at a time) under
 //     live traffic.  The gate is absolute: zero failed answers and zero
@@ -30,25 +31,24 @@
 //     is shed as typed Overloaded answers (graceful degradation, not
 //     queue collapse).
 //
-// Emits BENCH_cluster.json into the working directory; exits nonzero if
-// any gate fails.  `--smoke` shrinks the request counts for the
-// bench/cluster-labeled ctest smoke.
+// Every phase replays its trace through serve::replay, and every gate
+// also demands that no call threw.  Emits BENCH_cluster.json into the
+// working directory; exits nonzero if any gate fails.  `--smoke` shrinks
+// the request counts for the bench/cluster-labeled ctest smoke.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "cluster/disturb.hpp"
 #include "cluster/fleet.hpp"
 #include "common/str.hpp"
 #include "common/table.hpp"
 #include "fault/injector.hpp"
-#include "serve/server.hpp"
+#include "serve/replay.hpp"
 #include "serve/trace.hpp"
 
 using namespace gppm;
@@ -57,79 +57,19 @@ namespace {
 
 constexpr sim::GpuModel kBoard = sim::GpuModel::GTX680;
 
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t index = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(index, sorted.size() - 1)];
+/// Replay `trace` through the fleet's router.
+serve::ReplayResult route(cluster::LocalFleet& fleet,
+                          const std::vector<serve::Request>& trace,
+                          serve::ReplayOptions options,
+                          const std::vector<serve::Response>& truth = {}) {
+  return serve::replay(
+      trace,
+      [&fleet](const serve::Request& r) { return fleet.router().predict(r); },
+      options, truth);
 }
 
-struct RunResult {
-  double rps = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double p999_us = 0.0;
-  std::uint64_t ok = 0;
-  std::uint64_t non_ok = 0;
-  std::uint64_t divergent = 0;
-  cluster::RouterStats router;
-};
-
-/// Closed-loop drive of a fleet's router by `workers` threads.  When
-/// `truth` is non-null every successful answer is checked bit-identical
-/// against it.
-RunResult drive(cluster::LocalFleet& fleet,
-                const std::vector<serve::Request>& trace, std::size_t workers,
-                const std::vector<serve::Response>* truth = nullptr) {
-  std::mutex merge_mutex;
-  std::vector<double> latencies;
-  std::atomic<std::uint64_t> ok{0};
-  std::atomic<std::uint64_t> non_ok{0};
-  std::atomic<std::uint64_t> divergent{0};
-  std::atomic<std::size_t> next{0};
-
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&] {
-      std::vector<double> local;
-      for (std::size_t i = next.fetch_add(1); i < trace.size();
-           i = next.fetch_add(1)) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const serve::Response r = fleet.router().predict(trace[i]);
-        local.push_back(std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count());
-        if (r.ok()) {
-          ok.fetch_add(1);
-          if (truth != nullptr && !serve::bit_identical(r, (*truth)[i])) {
-            divergent.fetch_add(1);
-          }
-        } else {
-          non_ok.fetch_add(1);
-        }
-      }
-      std::lock_guard<std::mutex> lock(merge_mutex);
-      latencies.insert(latencies.end(), local.begin(), local.end());
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  std::sort(latencies.begin(), latencies.end());
-  RunResult r;
-  r.rps = static_cast<double>(latencies.size()) / elapsed;
-  r.p50_us = percentile(latencies, 0.50) * 1e6;
-  r.p99_us = percentile(latencies, 0.99) * 1e6;
-  r.p999_us = percentile(latencies, 0.999) * 1e6;
-  r.ok = ok.load();
-  r.non_ok = non_ok.load();
-  r.divergent = divergent.load();
-  r.router = fleet.router().stats();
-  return r;
+double p_us(const serve::ReplayResult& r, double q) {
+  return serve::percentile(r.latencies, q) * 1e6;
 }
 
 /// One rate point of the overload sweep.
@@ -137,75 +77,11 @@ struct OverloadPoint {
   double target_rps = 0.0;
   double offered_rps = 0.0;  ///< what the open loop actually offered
   std::uint64_t ok = 0;
-  std::uint64_t shed = 0;   ///< typed Overloaded answers
-  std::uint64_t other = 0;  ///< other typed refusals (deadline etc.)
-  double ok_p99_ms = 0.0;   ///< p99 latency of *accepted* requests
+  std::uint64_t shed = 0;    ///< typed Overloaded answers
+  std::uint64_t other = 0;   ///< other typed refusals (deadline etc.)
+  std::uint64_t failed = 0;  ///< calls that threw
+  double ok_p99_ms = 0.0;    ///< p99 latency of *accepted* requests
 };
-
-/// Open-loop drive: request i is launched at start + i/rate regardless of
-/// completions (workers that fall behind fire immediately), so offered
-/// load is set by `rate`, not by service capacity — the shape that makes
-/// overload visible.
-OverloadPoint open_loop_drive(cluster::LocalFleet& fleet,
-                              const std::vector<serve::Request>& trace,
-                              double rate, Duration deadline,
-                              std::size_t workers) {
-  std::mutex merge_mutex;
-  std::vector<double> ok_latencies;
-  std::atomic<std::uint64_t> ok{0};
-  std::atomic<std::uint64_t> shed{0};
-  std::atomic<std::uint64_t> other{0};
-  std::atomic<std::size_t> next{0};
-
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&] {
-      std::vector<double> local;
-      for (std::size_t i = next.fetch_add(1); i < trace.size();
-           i = next.fetch_add(1)) {
-        const auto arrival =
-            start + std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(
-                            static_cast<double>(i) / rate));
-        std::this_thread::sleep_until(arrival);
-        serve::Request request = trace[i];
-        request.deadline = deadline;
-        const auto t0 = std::chrono::steady_clock::now();
-        const serve::Response r = fleet.router().predict(request);
-        const double took = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-        if (r.ok()) {
-          ok.fetch_add(1);
-          local.push_back(took);
-        } else if (r.status == serve::ResponseStatus::Overloaded) {
-          shed.fetch_add(1);
-        } else {
-          other.fetch_add(1);
-        }
-      }
-      std::lock_guard<std::mutex> lock(merge_mutex);
-      ok_latencies.insert(ok_latencies.end(), local.begin(), local.end());
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  std::sort(ok_latencies.begin(), ok_latencies.end());
-  OverloadPoint point;
-  point.target_rps = rate;
-  point.offered_rps = static_cast<double>(trace.size()) / elapsed;
-  point.ok = ok.load();
-  point.shed = shed.load();
-  point.other = other.load();
-  point.ok_p99_ms = percentile(ok_latencies, 0.99) * 1e3;
-  return point;
-}
 
 std::vector<serve::Request> make_trace(const serve::PhaseCorpus& corpus,
                                        std::size_t count, double jitter) {
@@ -242,7 +118,7 @@ int main(int argc, char** argv) {
   const std::vector<serve::Request> scaling_trace =
       make_trace(corpus, scaling_requests, 1.0);
   const std::size_t fleet_sizes[] = {1, 2, 4};
-  std::vector<RunResult> scaling;
+  std::vector<serve::ReplayResult> scaling;
   for (const std::size_t n : fleet_sizes) {
     cluster::FleetOptions fopt;
     fopt.backends = n;
@@ -252,19 +128,22 @@ int main(int argc, char** argv) {
     cluster::RouterOptions ropt;
     ropt.hedging = false;  // capacity, not tail control, is under test
     cluster::LocalFleet fleet(bm.power, bm.perf, fopt, ropt);
-    scaling.push_back(drive(fleet, scaling_trace, 32));
+    scaling.push_back(route(fleet, scaling_trace, {32}));
     fleet.stop();
-    std::cout << n << " backends: " << format_double(scaling.back().rps, 0)
-              << " req/s, p50 " << format_double(scaling.back().p50_us, 0)
-              << " us, p999 " << format_double(scaling.back().p999_us, 0)
+    std::cout << n << " backends: " << format_double(scaling.back().rps(), 0)
+              << " req/s, p50 " << format_double(p_us(scaling.back(), 0.50), 0)
+              << " us, p999 " << format_double(p_us(scaling.back(), 0.999), 0)
               << " us\n";
   }
   // Smoke runs measure ~0.2 s per fleet size, which on a busy host puts
   // several hundred req/s of noise on the ratio; the full bench keeps the
   // tight gate, the smoke gate only has to catch scaling being broken.
   const double scaling_gate = smoke ? 2.0 : 2.5;
-  const double speedup_4x = scaling[2].rps / scaling[0].rps;
-  const bool scaling_ok = speedup_4x >= scaling_gate;
+  const double speedup_4x = scaling[2].rps() / scaling[0].rps();
+  const bool scaling_ok =
+      speedup_4x >= scaling_gate &&
+      std::all_of(scaling.begin(), scaling.end(),
+                  [](const serve::ReplayResult& r) { return r.failed == 0; });
   std::cout << "4-backend speedup vs 1: " << format_double(speedup_4x, 2)
             << "x (gate >= " << format_double(scaling_gate, 1) << "x)\n";
 
@@ -272,7 +151,8 @@ int main(int argc, char** argv) {
   // off vs on, under non-saturating load.
   const std::vector<serve::Request> hedge_trace =
       make_trace(corpus, hedge_requests, 1.0);
-  RunResult unhedged, hedged;
+  serve::ReplayResult unhedged, hedged;
+  cluster::RouterStats hedged_router;
   for (const bool hedging : {false, true}) {
     cluster::FleetOptions fopt;
     fopt.backends = 3;
@@ -284,33 +164,31 @@ int main(int argc, char** argv) {
     cluster::RouterOptions ropt;
     ropt.hedging = hedging;
     cluster::LocalFleet fleet(bm.power, bm.perf, fopt, ropt);
-    (hedging ? hedged : unhedged) = drive(fleet, hedge_trace, 8);
+    (hedging ? hedged : unhedged) = route(fleet, hedge_trace, {8});
+    if (hedging) hedged_router = fleet.router().stats();
     fleet.stop();
   }
-  const bool hedging_ok = hedged.p999_us < unhedged.p999_us;
-  std::cout << "p999 unhedged " << format_double(unhedged.p999_us, 0)
-            << " us -> hedged " << format_double(hedged.p999_us, 0) << " us ("
-            << hedged.router.hedges_fired << " hedges, "
-            << hedged.router.hedge_wins << " wins; gate: lower)\n";
+  const double unhedged_p999 = p_us(unhedged, 0.999);
+  const double hedged_p999 = p_us(hedged, 0.999);
+  const bool hedging_ok = hedged_p999 < unhedged_p999 &&
+                          unhedged.failed == 0 && hedged.failed == 0;
+  std::cout << "p999 unhedged " << format_double(unhedged_p999, 0)
+            << " us -> hedged " << format_double(hedged_p999, 0) << " us ("
+            << hedged_router.hedges_fired << " hedges, "
+            << hedged_router.hedge_wins << " wins; gate: lower)\n";
 
   // ---- Phase 3: chaos.  Wire fleet, faulted sockets, backends dying and
   // recovering under load; every successful answer must match the
   // untouched reference server bit for bit.
   const std::vector<serve::Request> chaos_trace =
       make_trace(corpus, chaos_requests, 0.0);
-  std::vector<serve::Response> truth(chaos_trace.size());
-  {
-    serve::PredictionServer reference;
-    reference.load_models(bm.power, bm.perf);
-    for (std::size_t i = 0; i < chaos_trace.size(); ++i) {
-      truth[i] = reference.submit(chaos_trace[i]).get();
-    }
-  }
-
+  const std::vector<serve::Response> chaos_truth =
+      serve::reference_answers(chaos_trace, bm.power, bm.perf);
   fault::FaultInjector injector(fault::FaultPlan::net_profile(),
                                 bench::kCampaignSeed);
-  RunResult chaos;
-  std::uint64_t kills = 0;
+  serve::ReplayResult chaos;
+  cluster::RouterStats chaos_router;
+  cluster::DisturbReport chaos_disturb;
   {
     cluster::FleetOptions fopt;
     fopt.backends = 3;
@@ -320,31 +198,23 @@ int main(int argc, char** argv) {
     fopt.client.retry.initial_backoff = Duration::milliseconds(1.0);
     fopt.client.retry.max_backoff = Duration::milliseconds(50.0);
     cluster::LocalFleet fleet(bm.power, bm.perf, fopt, {});
-
-    std::atomic<bool> running{true};
-    std::thread reaper([&] {
-      std::size_t victim = 0;
-      while (running.load()) {
-        const std::size_t k = victim++ % fleet.size();
-        fleet.kill(k);
-        ++kills;
-        std::this_thread::sleep_for(std::chrono::milliseconds(40));
-        fleet.restart(k);
-        for (int tick = 0; tick < 6 && running.load(); ++tick) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
-      }
-    });
-    chaos = drive(fleet, chaos_trace, 4, &truth);
-    running.store(false);
-    reaper.join();
+    cluster::DisturberOptions dopt;
+    dopt.seed = bench::kCampaignSeed;
+    dopt.kills = true;
+    cluster::FleetDisturber reaper(fleet, dopt);
+    chaos = route(fleet, chaos_trace, {4}, chaos_truth);
+    chaos_disturb = reaper.stop();
+    chaos_router = fleet.router().stats();
     fleet.stop();
   }
-  const bool chaos_ok = chaos.divergent == 0 && chaos.ok > 0;
-  std::cout << "chaos: " << chaos.ok << " ok / " << chaos.non_ok
-            << " refused, " << chaos.divergent << " divergent, " << kills
-            << " backend kills, " << injector.total_fires() << "/"
-            << injector.total_checks() << " site checks fired\n";
+  const std::uint64_t chaos_refused = chaos.answered() - chaos.ok();
+  const bool chaos_ok =
+      chaos.divergent == 0 && chaos.ok() > 0 && chaos.failed == 0;
+  std::cout << "chaos: " << chaos.ok() << " ok / " << chaos_refused
+            << " refused, " << chaos.divergent << " divergent, "
+            << chaos_disturb.kills << " backend kills, "
+            << injector.total_fires() << "/" << injector.total_checks()
+            << " site checks fired\n";
 
   // ---- Phase 4: reconfig.  Rolling drain/restart of every backend under
   // live traffic.  Planned removals must be invisible: zero refusals, zero
@@ -352,19 +222,10 @@ int main(int argc, char** argv) {
   const std::size_t reconfig_requests = smoke ? 3000 : 12000;
   const std::vector<serve::Request> reconfig_trace =
       make_trace(corpus, reconfig_requests, 0.0);
-  std::vector<serve::Response> reconfig_truth(reconfig_trace.size());
-  {
-    serve::PredictionServer reference;
-    reference.load_models(bm.power, bm.perf);
-    for (std::size_t i = 0; i < reconfig_trace.size(); ++i) {
-      reconfig_truth[i] = reference.submit(reconfig_trace[i]).get();
-    }
-  }
-
-  RunResult reconfig;
-  std::uint64_t rolling_sweeps = 0;
-  std::uint64_t rolling_drains = 0;
-  bool rolling_zero_loss = true;
+  const std::vector<serve::Response> reconfig_truth =
+      serve::reference_answers(reconfig_trace, bm.power, bm.perf);
+  serve::ReplayResult reconfig;
+  cluster::DisturbReport rolling;
   std::size_t reconfig_fleet_size = 0;
   {
     cluster::FleetOptions fopt;
@@ -375,30 +236,21 @@ int main(int argc, char** argv) {
     ropt.breaker.cooldown = std::chrono::milliseconds(20);
     cluster::LocalFleet fleet(bm.power, bm.perf, fopt, ropt);
     reconfig_fleet_size = fleet.size();
-
-    std::atomic<bool> running{true};
-    std::thread roller([&] {
-      // Keep cycling the fleet until the load finishes, but always finish
-      // at least one full sweep so every backend was drained under fire.
-      do {
-        const cluster::RollingRestartReport report = fleet.rolling_restart();
-        ++rolling_sweeps;
-        rolling_drains += report.drains.size();
-        rolling_zero_loss = rolling_zero_loss && report.zero_loss;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      } while (running.load());
-    });
-    reconfig = drive(fleet, reconfig_trace, 8, &reconfig_truth);
-    running.store(false);
-    roller.join();
+    cluster::DisturberOptions dopt;
+    dopt.rolling = true;
+    cluster::FleetDisturber roller(fleet, dopt);
+    reconfig = route(fleet, reconfig_trace, {8}, reconfig_truth);
+    rolling = roller.stop();
     fleet.stop();
   }
-  const bool reconfig_ok = reconfig.non_ok == 0 && reconfig.divergent == 0 &&
-                           rolling_zero_loss &&
-                           rolling_drains >= reconfig_fleet_size;
-  std::cout << "reconfig: " << rolling_sweeps << " rolling sweeps ("
-            << rolling_drains << " drains) under " << reconfig.ok
-            << " requests: " << reconfig.non_ok << " refused, "
+  const std::uint64_t reconfig_refused = reconfig.answered() - reconfig.ok();
+  const bool rolling_zero_loss = rolling.lossy_sweeps == 0;
+  const bool reconfig_ok = reconfig_refused == 0 && reconfig.failed == 0 &&
+                           reconfig.divergent == 0 && rolling_zero_loss &&
+                           rolling.sweep_drains >= reconfig_fleet_size;
+  std::cout << "reconfig: " << rolling.sweeps << " rolling sweeps ("
+            << rolling.sweep_drains << " drains) under " << reconfig.ok()
+            << " requests: " << reconfig_refused << " refused, "
             << reconfig.divergent
             << " divergent (gate: 0/0, zero-loss, full sweep)\n";
 
@@ -408,7 +260,7 @@ int main(int argc, char** argv) {
   // deadline at every rate; the excess must come back as typed Overloaded.
   const Duration overload_deadline = Duration::milliseconds(50.0);
   const std::size_t overload_requests = smoke ? 1500 : 4000;
-  const std::vector<serve::Request> overload_trace =
+  std::vector<serve::Request> overload_trace =
       make_trace(corpus, overload_requests, 1.0);
 
   cluster::FleetOptions overload_fopt;
@@ -417,21 +269,23 @@ int main(int argc, char** argv) {
   overload_fopt.shaping.min_service = Duration::milliseconds(1.0);
   overload_fopt.shaping.concurrency = 4;
 
-  double capacity_rps = 0.0;
+  serve::ReplayResult calibration;
   {
     // Calibration: closed-loop saturation, admission off.
     cluster::RouterOptions ropt;
     ropt.hedging = false;
     cluster::LocalFleet fleet(bm.power, bm.perf, overload_fopt, ropt);
-    const std::vector<serve::Request> calibration(
+    const std::vector<serve::Request> calibration_trace(
         overload_trace.begin(),
         overload_trace.begin() +
             static_cast<std::ptrdiff_t>(
                 std::min<std::size_t>(overload_trace.size(), 1500)));
-    capacity_rps = drive(fleet, calibration, 16).rps;
+    calibration = route(fleet, calibration_trace, {16});
     fleet.stop();
   }
+  const double capacity_rps = calibration.rps();
 
+  for (serve::Request& r : overload_trace) r.deadline = overload_deadline;
   const double rate_factors[] = {0.5, 0.8, 1.6};
   std::vector<OverloadPoint> overload;
   std::uint64_t overload_admission_shed = 0;
@@ -440,21 +294,29 @@ int main(int argc, char** argv) {
     ropt.hedging = false;
     ropt.admission_control = true;
     cluster::LocalFleet fleet(bm.power, bm.perf, overload_fopt, ropt);
-    overload.push_back(open_loop_drive(fleet, overload_trace,
-                                       capacity_rps * factor,
-                                       overload_deadline, 48));
+    const double rate = capacity_rps * factor;
+    const serve::ReplayResult r = route(fleet, overload_trace, {48, rate});
     overload_admission_shed += fleet.router().stats().admission_shed;
     fleet.stop();
-    const OverloadPoint& point = overload.back();
+    OverloadPoint point;
+    point.target_rps = rate;
+    point.offered_rps =
+        static_cast<double>(overload_trace.size()) / r.elapsed_seconds;
+    point.ok = r.ok();
+    point.shed = r.count(serve::ResponseStatus::Overloaded);
+    point.other = r.answered() - point.ok - point.shed;
+    point.failed = r.failed;
+    point.ok_p99_ms = serve::percentile(r.ok_latencies, 0.99) * 1e3;
+    overload.push_back(point);
     std::cout << "overload " << format_double(factor, 1) << "x capacity ("
               << format_double(point.target_rps, 0) << " req/s): " << point.ok
               << " ok, " << point.shed << " shed, " << point.other
               << " other, ok-p99 " << format_double(point.ok_p99_ms, 1)
               << " ms\n";
   }
-  bool overload_p99_ok = true;
+  bool overload_p99_ok = calibration.failed == 0;
   for (const OverloadPoint& point : overload) {
-    overload_p99_ok = overload_p99_ok && point.ok > 0 &&
+    overload_p99_ok = overload_p99_ok && point.ok > 0 && point.failed == 0 &&
                       point.ok_p99_ms <=
                           overload_deadline.as_seconds() * 1e3;
   }
@@ -468,16 +330,16 @@ int main(int argc, char** argv) {
             << " typed Overloaded sheds past saturation\n";
 
   AsciiTable table({"metric", "value"});
-  table.add_row({"rps 1 backend", format_double(scaling[0].rps, 0)});
-  table.add_row({"rps 2 backends", format_double(scaling[1].rps, 0)});
-  table.add_row({"rps 4 backends", format_double(scaling[2].rps, 0)});
+  table.add_row({"rps 1 backend", format_double(scaling[0].rps(), 0)});
+  table.add_row({"rps 2 backends", format_double(scaling[1].rps(), 0)});
+  table.add_row({"rps 4 backends", format_double(scaling[2].rps(), 0)});
   table.add_row({"speedup 4 vs 1", format_double(speedup_4x, 2)});
-  table.add_row({"p999 us unhedged", format_double(unhedged.p999_us, 1)});
-  table.add_row({"p999 us hedged", format_double(hedged.p999_us, 1)});
-  table.add_row({"hedges fired", std::to_string(hedged.router.hedges_fired)});
+  table.add_row({"p999 us unhedged", format_double(unhedged_p999, 1)});
+  table.add_row({"p999 us hedged", format_double(hedged_p999, 1)});
+  table.add_row({"hedges fired", std::to_string(hedged_router.hedges_fired)});
   table.add_row({"chaos divergent", std::to_string(chaos.divergent)});
-  table.add_row({"rolling drains", std::to_string(rolling_drains)});
-  table.add_row({"reconfig refused", std::to_string(reconfig.non_ok)});
+  table.add_row({"rolling drains", std::to_string(rolling.sweep_drains)});
+  table.add_row({"reconfig refused", std::to_string(reconfig_refused)});
   table.add_row({"reconfig divergent", std::to_string(reconfig.divergent)});
   table.add_row({"capacity req/s", format_double(capacity_rps, 0)});
   table.add_row(
@@ -489,44 +351,44 @@ int main(int argc, char** argv) {
       scaling_ok && hedging_ok && chaos_ok && reconfig_ok && overload_ok;
   {
     std::ofstream json("BENCH_cluster.json");
-    json << "{\n  \"schema\": \"gppm.bench_cluster.v2\",\n"
-         << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-         << "  \"scaling\": [\n";
+    json << "{\n  \"schema\": \"gppm.bench_cluster.v2\",\n";
+    bench::json_env_stamp(json, smoke);
+    json << "  \"scaling\": [\n";
     for (std::size_t i = 0; i < scaling.size(); ++i) {
       json << "    {\"backends\": " << fleet_sizes[i]
-           << ", \"rps\": " << format_double(scaling[i].rps, 1)
-           << ", \"p50_us\": " << format_double(scaling[i].p50_us, 2)
-           << ", \"p99_us\": " << format_double(scaling[i].p99_us, 2)
-           << ", \"p999_us\": " << format_double(scaling[i].p999_us, 2)
+           << ", \"rps\": " << format_double(scaling[i].rps(), 1)
+           << ", \"p50_us\": " << format_double(p_us(scaling[i], 0.50), 2)
+           << ", \"p99_us\": " << format_double(p_us(scaling[i], 0.99), 2)
+           << ", \"p999_us\": " << format_double(p_us(scaling[i], 0.999), 2)
            << "}" << (i + 1 < scaling.size() ? "," : "") << "\n";
     }
     json << "  ],\n"
          << "  \"speedup_4_vs_1\": " << format_double(speedup_4x, 3) << ",\n"
          << "  \"hedging\": {\n"
          << "    \"lag_every\": 150, \"lag_ms\": 20,\n"
-         << "    \"unhedged_p999_us\": " << format_double(unhedged.p999_us, 2)
+         << "    \"unhedged_p999_us\": " << format_double(unhedged_p999, 2)
          << ",\n"
-         << "    \"hedged_p999_us\": " << format_double(hedged.p999_us, 2)
+         << "    \"hedged_p999_us\": " << format_double(hedged_p999, 2)
          << ",\n"
-         << "    \"hedges_fired\": " << hedged.router.hedges_fired << ",\n"
-         << "    \"hedge_wins\": " << hedged.router.hedge_wins << ",\n"
+         << "    \"hedges_fired\": " << hedged_router.hedges_fired << ",\n"
+         << "    \"hedge_wins\": " << hedged_router.hedge_wins << ",\n"
          << "    \"p999_improved\": " << (hedging_ok ? "true" : "false")
          << "\n  },\n"
          << "  \"chaos\": {\n"
          << "    \"requests\": " << chaos_trace.size() << ",\n"
-         << "    \"ok\": " << chaos.ok << ",\n"
-         << "    \"refused\": " << chaos.non_ok << ",\n"
+         << "    \"ok\": " << chaos.ok() << ",\n"
+         << "    \"refused\": " << chaos_refused << ",\n"
          << "    \"divergent\": " << chaos.divergent << ",\n"
-         << "    \"backend_kills\": " << kills << ",\n"
+         << "    \"backend_kills\": " << chaos_disturb.kills << ",\n"
          << "    \"fault_fires\": " << injector.total_fires() << ",\n"
-         << "    \"failovers\": " << chaos.router.failovers << ",\n"
+         << "    \"failovers\": " << chaos_router.failovers << ",\n"
          << "    \"bit_identical\": " << (chaos_ok ? "true" : "false")
          << "\n  },\n"
          << "  \"reconfig\": {\n"
          << "    \"requests\": " << reconfig_trace.size() << ",\n"
-         << "    \"rolling_sweeps\": " << rolling_sweeps << ",\n"
-         << "    \"drains\": " << rolling_drains << ",\n"
-         << "    \"refused\": " << reconfig.non_ok << ",\n"
+         << "    \"rolling_sweeps\": " << rolling.sweeps << ",\n"
+         << "    \"drains\": " << rolling.sweep_drains << ",\n"
+         << "    \"refused\": " << reconfig_refused << ",\n"
          << "    \"divergent\": " << reconfig.divergent << ",\n"
          << "    \"zero_loss\": " << (rolling_zero_loss ? "true" : "false")
          << ",\n"

@@ -42,19 +42,12 @@ struct BoardRun {
 BoardRun run_board(sim::GpuModel model, std::size_t phase_count) {
   const bench::BoardFamilies& fam = bench::board_families(model);
 
-  // The governor needs the voltage-aware power form: the paper's
-  // frequency-only Eq. 1 under-predicts low-P-state power so badly that
-  // energy minimization collapses to "always (H-H)" (see
-  // bench_ablation_voltage_scaling).
-  core::ModelOptions popt;
-  popt.scaling = core::FeatureScaling::VoltageSquaredFrequency;
-  popt.include_baseline_terms = true;
-
   governor::LoopOptions opt;
   opt.governor.policy = core::GovernorPolicy::MinimumEnergy;
   governor::GovernorLoop loop(
       model, fam.dataset,
-      core::UnifiedModel::fit(fam.dataset, core::TargetKind::Power, popt),
+      core::UnifiedModel::fit(fam.dataset, core::TargetKind::Power,
+                              core::extended_power_options()),
       fam.perf.at(10), opt);
 
   workload::PhaseScheduleOptions sched;

@@ -59,11 +59,8 @@ int main() {
 
   for (sim::GpuModel model : sim::kAllGpus) {
     const bench::BoardModels& bm = bench::board_models(model);
-    core::ModelOptions ext;
-    ext.scaling = core::FeatureScaling::VoltageSquaredFrequency;
-    ext.include_baseline_terms = true;
-    const core::UnifiedModel power =
-        core::UnifiedModel::fit(bm.dataset, core::TargetKind::Power, ext);
+    const core::UnifiedModel power = core::UnifiedModel::fit(
+        bm.dataset, core::TargetKind::Power, core::extended_power_options());
 
     // Always-default baseline.
     Outcome base;

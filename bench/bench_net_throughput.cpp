@@ -32,6 +32,7 @@
 #include "common/table.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "serve/replay.hpp"
 #include "serve/server.hpp"
 
 using namespace gppm;
@@ -41,13 +42,6 @@ namespace {
 constexpr sim::GpuModel kBoard = sim::GpuModel::GTX680;
 constexpr std::size_t kClientThreads = 4;
 constexpr std::size_t kBatch = 32;
-
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t index = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(index, sorted.size() - 1)];
-}
 
 }  // namespace
 
@@ -89,42 +83,25 @@ int main(int argc, char** argv) {
             << " closed-loop client threads on 127.0.0.1:" << server.port()
             << "\n";
 
-  std::atomic<std::uint64_t> divergent{0};
-  std::atomic<std::uint64_t> answered{0};
-
-  // Phase 1 — serial RPC latency.
-  std::vector<std::vector<double>> latencies(kClientThreads);
-  {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kClientThreads);
-    for (std::size_t t = 0; t < kClientThreads; ++t) {
-      threads.emplace_back([&, t] {
-        for (std::size_t i = next.fetch_add(1); i < serial_requests;
-             i = next.fetch_add(1)) {
-          const std::size_t p = i % probes.size();
-          const auto t0 = std::chrono::steady_clock::now();
-          const serve::Response r = client.predict(probes[p]);
-          latencies[t].push_back(std::chrono::duration<double>(
-                                     std::chrono::steady_clock::now() - t0)
-                                     .count());
-          answered.fetch_add(1);
-          if (!serve::bit_identical(r, expected[p])) divergent.fetch_add(1);
-        }
-      });
-    }
-    for (std::thread& th : threads) th.join();
+  // Phase 1 — serial RPC latency: the probes cycled through one predict()
+  // per call.  Every answer must come back Ok and bit-identical.
+  std::vector<serve::Request> serial_trace;
+  std::vector<serve::Response> serial_truth;
+  for (std::size_t i = 0; i < serial_requests; ++i) {
+    serial_trace.push_back(probes[i % probes.size()]);
+    serial_truth.push_back(expected[i % probes.size()]);
   }
-  std::vector<double> all;
-  for (const std::vector<double>& part : latencies) {
-    all.insert(all.end(), part.begin(), part.end());
-  }
-  std::sort(all.begin(), all.end());
-  const double p50 = percentile(all, 0.50) * 1e6;
-  const double p95 = percentile(all, 0.95) * 1e6;
-  const double p99 = percentile(all, 0.99) * 1e6;
+  const serve::ReplayResult serial = serve::replay(
+      serial_trace,
+      [&client](const serve::Request& r) { return client.predict(r); },
+      {kClientThreads}, serial_truth);
+  const double p50 = serve::percentile(serial.latencies, 0.50) * 1e6;
+  const double p95 = serve::percentile(serial.latencies, 0.95) * 1e6;
+  const double p99 = serve::percentile(serial.latencies, 0.99) * 1e6;
 
   // Phase 2 — pipelined throughput.
+  std::atomic<std::uint64_t> divergent{serial.divergent};
+  std::atomic<std::uint64_t> answered{0};
   double elapsed = 0.0;
   {
     std::atomic<std::size_t> next{0};
@@ -181,7 +158,8 @@ int main(int argc, char** argv) {
             << "loopback)\n";
 
   const bool ok = divergent.load() == 0 && ns.protocol_errors == 0 &&
-                  answered.load() == serial_requests + batched_requests;
+                  serial.ok() == serial_requests &&
+                  answered.load() == batched_requests;
   {
     std::ofstream json("BENCH_net.json");
     json << "{\n  \"schema\": \"gppm.bench_net.v2\",\n";

@@ -15,7 +15,12 @@
 // hardware threads (4 workers + clients) caps the achievable ratio at
 // roughly its core count.  The bench prints hardware_concurrency next to
 // the ratio so the number reads honestly.
+//
+// Emits BENCH_serve.json (the closed-loop rows and the open-loop point)
+// into the working directory; exits nonzero if any closed-loop request
+// failed.
 #include <chrono>
+#include <fstream>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -24,6 +29,7 @@
 #include "common/csv.hpp"
 #include "common/str.hpp"
 #include "common/table.hpp"
+#include "serve/replay.hpp"
 #include "serve/server.hpp"
 #include "serve/trace.hpp"
 
@@ -40,29 +46,6 @@ struct LoadResult {
   double requests_per_sec = 0.0;
   serve::ServerMetrics metrics;
 };
-
-/// Closed loop: each client keeps exactly one request in flight.
-LoadResult closed_loop(serve::PredictionServer& server,
-                       const std::vector<serve::Request>& trace) {
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (std::size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (std::size_t i = c; i < trace.size(); i += kClients) {
-        server.submit(trace[i]).get();
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  LoadResult result;
-  result.requests_per_sec = static_cast<double>(trace.size()) / elapsed;
-  result.metrics = server.metrics();
-  return result;
-}
 
 /// Open loop: one producer paces arrivals at `rate_per_sec`, shedding
 /// (try_submit) when the queue is full.
@@ -97,11 +80,8 @@ int main() {
       "(synthetic suite trace, Zipf phase popularity).");
 
   const bench::BoardModels& bm = bench::board_models(kBoard);
-  core::ModelOptions popt;
-  popt.scaling = core::FeatureScaling::VoltageSquaredFrequency;
-  popt.include_baseline_terms = true;
-  const core::UnifiedModel power_model =
-      core::UnifiedModel::fit(bm.dataset, core::TargetKind::Power, popt);
+  const core::UnifiedModel power_model = core::UnifiedModel::fit(
+      bm.dataset, core::TargetKind::Power, core::extended_power_options());
   const core::UnifiedModel perf_model =
       core::UnifiedModel::fit(bm.dataset, core::TargetKind::ExecTime);
   const serve::PhaseCorpus corpus = serve::build_phase_corpus(kBoard);
@@ -129,13 +109,16 @@ int main() {
   CsvWriter csv(std::cout);
   struct Row {
     std::string trace;
+    std::size_t requests;
     std::size_t workers;
     LoadResult r;
     double speedup;
+    double p95_seconds;
   };
   std::vector<Row> rows;
 
   double warm_1w = 0.0, warm_4w = 0.0, warm_4w_hit_rate = 0.0;
+  std::uint64_t failed = 0;
   for (const char* trace_name : {"warm", "cold"}) {
     const bool warm = std::string(trace_name) == "warm";
     const std::vector<serve::Request>& trace = warm ? warm_trace : cold_trace;
@@ -145,7 +128,15 @@ int main() {
       opt.worker_threads = workers;
       serve::PredictionServer server(opt);
       server.load_models(power_model, perf_model);
-      const LoadResult r = closed_loop(server, trace);
+      // Closed loop: each client keeps exactly one request in flight.
+      const serve::ReplayResult replayed = serve::replay(
+          trace,
+          [&server](const serve::Request& r) {
+            return server.submit(r).get();
+          },
+          {kClients});
+      failed += replayed.failed;
+      const LoadResult r{replayed.rps(), server.metrics()};
       if (workers == 1) base = r.requests_per_sec;
       const double speedup = r.requests_per_sec / base;
       if (warm && workers == 1) warm_1w = r.requests_per_sec;
@@ -165,7 +156,7 @@ int main() {
                      format_double(r.metrics.mean_batch_size, 2),
                      format_double(p95 * 1e6, 1),
                      std::to_string(r.metrics.queue_high_water)});
-      rows.push_back({trace_name, workers, r, speedup});
+      rows.push_back({trace_name, trace.size(), workers, r, speedup, p95});
     }
   }
   table.print(std::cout);
@@ -179,17 +170,18 @@ int main() {
 
   // Open loop at ~60% of the measured 4-worker capacity: the latency
   // distribution a non-saturated server delivers.
+  const double open_rate = 0.6 * warm_4w;
+  LoadResult open;
   {
     serve::ServerOptions opt;
     opt.worker_threads = 4;
     serve::PredictionServer server(opt);
     server.load_models(power_model, perf_model);
-    const double rate = 0.6 * warm_4w;
-    const LoadResult r = open_loop(server, warm_trace, rate);
-    std::cout << "open loop at " << format_double(rate, 0) << " req/s target ("
-              << format_double(r.requests_per_sec, 0) << " served, "
-              << r.metrics.rejected_requests << " shed):\n";
-    r.metrics.print(std::cout);
+    open = open_loop(server, warm_trace, open_rate);
+    std::cout << "open loop at " << format_double(open_rate, 0)
+              << " req/s target (" << format_double(open.requests_per_sec, 0)
+              << " served, " << open.metrics.rejected_requests << " shed):\n";
+    open.metrics.print(std::cout);
   }
 
   bench::begin_csv("serve_throughput");
@@ -204,5 +196,43 @@ int main() {
              std::to_string(row.r.metrics.queue_high_water)});
   }
   bench::end_csv();
+
+  {
+    std::ofstream json("BENCH_serve.json");
+    json << "{\n  \"schema\": \"gppm.bench_serve.v1\",\n";
+    bench::json_env_stamp(json, /*smoke=*/false);
+    json << "  \"hardware_concurrency\": "
+         << std::thread::hardware_concurrency() << ",\n"
+         << "  \"clients\": " << kClients << ",\n"
+         << "  \"closed_loop\": [\n";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const Row& row = rows[i];
+      json << "    {\"trace\": \"" << row.trace
+           << "\", \"requests\": " << row.requests
+           << ", \"workers\": " << row.workers
+           << ", \"rps\": " << format_double(row.r.requests_per_sec, 1)
+           << ", \"speedup_vs_1w\": " << format_double(row.speedup, 3)
+           << ", \"cache_hit_rate\": "
+           << format_double(row.r.metrics.cache.hit_rate(), 4)
+           << ", \"mean_batch\": "
+           << format_double(row.r.metrics.mean_batch_size, 3)
+           << ", \"p95_us\": " << format_double(row.p95_seconds * 1e6, 2)
+           << ", \"queue_high_water\": " << row.r.metrics.queue_high_water
+           << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+    }
+    json << "  ],\n"
+         << "  \"warm_speedup_4w_vs_1w\": "
+         << format_double(warm_4w / warm_1w, 3) << ",\n"
+         << "  \"open_loop\": {\"target_rps\": " << format_double(open_rate, 1)
+         << ", \"served_rps\": " << format_double(open.requests_per_sec, 1)
+         << ", \"shed\": " << open.metrics.rejected_requests << "},\n"
+         << "  \"failed\": " << failed << ",\n"
+         << "  \"pass\": " << (failed == 0 ? "true" : "false") << "\n}\n";
+  }
+  std::cout << "wrote BENCH_serve.json\n";
+  if (failed != 0) {
+    std::cerr << "FAIL: " << failed << " closed-loop requests threw\n";
+    return 1;
+  }
   return 0;
 }

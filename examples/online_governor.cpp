@@ -26,19 +26,12 @@ int main() {
   std::cout << "Training unified models for " << sim::to_string(board)
             << "...\n";
   const core::Dataset ds = core::build_dataset(board);
-  // The governor uses the voltage-aware power features (V^2 f) plus the
-  // per-domain baseline terms: the paper's frequency-only Eq. 1
-  // under-predicts the power drop of low P-states so badly that energy
-  // minimization collapses to "always (H-H)" — see
-  // bench_ablation_voltage_scaling for the comparison.
-  core::ModelOptions popt;
-  popt.scaling = core::FeatureScaling::VoltageSquaredFrequency;
-  popt.include_baseline_terms = true;
   core::GovernorOptions gopt;
   gopt.policy = core::GovernorPolicy::MinimumEnergy;
   gopt.switch_threshold = 0.02;  // ignore <2% predicted gains
   core::DvfsGovernor governor(
-      core::UnifiedModel::fit(ds, core::TargetKind::Power, popt),
+      core::UnifiedModel::fit(ds, core::TargetKind::Power,
+                              core::extended_power_options()),
       core::UnifiedModel::fit(ds, core::TargetKind::ExecTime), gopt);
 
   core::MeasurementRunner runner(board);

@@ -25,11 +25,8 @@ int main() {
   // them exactly).
   std::cout << "fitting models for " << sim::to_string(board) << "...\n";
   const core::Dataset ds = core::build_dataset(board);
-  core::ModelOptions popt;
-  popt.scaling = core::FeatureScaling::VoltageSquaredFrequency;
-  popt.include_baseline_terms = true;
-  core::UnifiedModel power =
-      core::UnifiedModel::fit(ds, core::TargetKind::Power, popt);
+  core::UnifiedModel power = core::UnifiedModel::fit(
+      ds, core::TargetKind::Power, core::extended_power_options());
   core::UnifiedModel perf =
       core::UnifiedModel::fit(ds, core::TargetKind::ExecTime);
   std::cout << "power model fingerprint "

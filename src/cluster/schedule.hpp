@@ -1,19 +1,21 @@
 // cluster::ChaosSchedule — a seeded, deterministic stream of fleet
-// disturbance events for the loadgen chaos reaper and drain scheduler.
+// disturbance events for the chaos reaper and drain scheduler of
+// cluster::FleetDisturber (`gppm loadgen --cluster`,
+// bench_cluster_throughput).
 //
-// The reaper used to pick victims round-robin with wall-clock pacing,
-// which made two "identical" chaos runs disturb different nodes at
-// different times — impossible to compare or replay.  The schedule owns
-// victim choice instead: every decision comes from one seeded Rng, each
-// disturbance is paired with its recovery (kill → restart, drain →
-// rejoin) before the same node is disturbed again, and every emitted
-// event is appended to a log.  Two schedules with the same (seed, nodes,
-// drains) options emit byte-identical logs — the property the
-// determinism test pins and the contract behind `gppm-loadgen --seed`.
+// Picking victims round-robin with wall-clock pacing made two "identical"
+// chaos runs disturb different nodes at different times — impossible to
+// compare or replay.  The schedule owns victim choice instead: every
+// decision comes from one seeded Rng, each disturbance is paired with its
+// recovery (kill → restart, drain → rejoin) before the same node is
+// disturbed again, and every emitted event is appended to a log.  Two
+// schedules with the same (seed, nodes, drains) options emit
+// byte-identical logs — the property the determinism test pins and the
+// contract behind `gppm loadgen --seed`.
 //
 // The schedule decides *what* happens, the caller decides *when*: pacing
-// (sleep between events) stays in the reaper so the schedule is pure and
-// replayable.
+// (sleep between events) stays in the disturber so the schedule is pure
+// and replayable.
 #pragma once
 
 #include <cstdint>

@@ -17,7 +17,11 @@
 // striding the input (element i lands in lane i % 8), spilled to an array
 // and combined by one shared expression.  IEEE-754 arithmetic is
 // deterministic per operation, so two backends running the same tree over
-// the same input produce the same bits, NaNs and denormals included.  The
+// the same input produce the same bits, denormals included.  NaNs are the
+// exception: IEEE-754 leaves the sign and payload of a NaN result to the
+// hardware (x86 keeps the first NaN operand's), and the backends order the
+// operands of their adds differently, so combine8 returns one canonical
+// quiet NaN for every NaN result.  The
 // `simd` ctest label pins this: kernels are compared bitwise against
 // gppm::simd::scalar::* (always compiled) on randomized inputs, and a
 // -DGPPM_SIMD=off build must reproduce the default build's model
@@ -28,7 +32,9 @@
 // one backend and not another.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 
 #if defined(GPPM_SIMD_FORCE_SCALAR)
 // Scalar fallback requested (-DGPPM_SIMD=off): no ISA headers.
@@ -51,10 +57,13 @@ namespace gppm::simd {
 inline constexpr std::size_t kAccumLanes = 8;
 
 /// Combine the eight spilled accumulator lanes.  One shared tree shape for
-/// every backend; changing it changes every artifact, so don't.
+/// every backend; changing it changes every artifact, so don't.  A NaN
+/// total comes back as the canonical quiet NaN, whatever sign and payload
+/// the adds left on it.
 inline double combine8(const double lanes[kAccumLanes]) {
-  return ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6])) +
-         ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
+  const double total = ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6])) +
+                       ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
+  return std::isnan(total) ? std::numeric_limits<double>::quiet_NaN() : total;
 }
 
 /// Reference kernels: the canonical 8-lane tree written out scalarly.

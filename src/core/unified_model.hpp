@@ -33,6 +33,20 @@ struct ModelOptions {
   std::vector<std::string> candidate_features;
 };
 
+/// The library's extended power form: V^2 f feature scaling plus the
+/// per-domain baseline terms.  Everything that picks frequency pairs from
+/// the power model (the governors, the serving optimize/govern endpoints)
+/// fits its power model with it: the paper's frequency-only Eq. 1
+/// under-predicts the power drop of low P-states so badly that energy
+/// minimization collapses to "always (H-H)" (bench_ablation_voltage_scaling
+/// compares the forms).
+inline ModelOptions extended_power_options() {
+  ModelOptions options;
+  options.scaling = FeatureScaling::VoltageSquaredFrequency;
+  options.include_baseline_terms = true;
+  return options;
+}
+
 /// One selected explanatory variable of a fitted model.
 struct SelectedVariable {
   std::string counter;

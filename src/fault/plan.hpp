@@ -83,12 +83,12 @@ struct FaultPlan {
 
   /// A network-layer chaos profile over the `net` site family: occasional
   /// connect refusals, frequent short reads, rare mid-frame resets.  Used
-  /// by the net chaos suite and `gppm-loadgen --chaos`.
+  /// by the net chaos suite and `gppm loadgen --chaos`.
   static FaultPlan net_profile();
 
   /// A cluster reconfiguration chaos profile: lost supervisor probes and
   /// slow drains on top of the net faults.  Used by the drain/supervisor
-  /// chaos tests and `gppm-loadgen --cluster --chaos`.
+  /// chaos tests and `gppm loadgen --cluster --chaos`.
   static FaultPlan cluster_profile();
 
   /// Render back into the profile format (parse round-trips).

@@ -2,7 +2,7 @@
 // scriptable fake (idle drain, live handoff, timeout, the slow-drain fault
 // site, unknown-name no-op), LocalFleet's planned lifecycle
 // (add_node/drain_node/rejoin/rolling_restart) against real models, and
-// the ChaosSchedule determinism contract behind `gppm-loadgen --seed`.
+// the ChaosSchedule determinism contract behind `gppm loadgen --seed`.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -340,7 +340,7 @@ TEST(ClusterFleetReconfig, RollingRestartIsZeroLossUnderTraffic) {
 }
 
 // ---------------------------------------------------------------------------
-// ChaosSchedule: the determinism contract behind `gppm-loadgen --seed`.
+// ChaosSchedule: the determinism contract behind `gppm loadgen --seed`.
 
 TEST(ClusterChaosSchedule, SameSeedEmitsIdenticalLogs) {
   const ChaosSchedule::Options options{/*seed=*/11, /*nodes=*/3,

@@ -25,6 +25,14 @@
 //   gppm serve-bench <gpu> [options]    replay a synthetic trace against the
 //                                       concurrent prediction server (fitted
 //                                       in-process or loaded from files)
+//   gppm loadgen --connect HOST:PORT [options]
+//                                       replay a synthetic trace against a
+//                                       running `gppm serve --listen`
+//   gppm loadgen --cluster N [options]  replay one through a self-hosted
+//                                       routed fleet, optionally under
+//                                       seeded chaos and reconfiguration;
+//                                       exit 1 on any answer that is not
+//                                       bit-identical to one server's
 //   gppm chaos <gpu> [options]          characterize under injected
 //                                       instrument faults; report coverage
 //                                       and divergence vs the fault-free run
@@ -43,13 +51,15 @@
 //
 // GPU names: gtx285, gtx460, gtx480, gtx680.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -66,13 +76,17 @@
 #include "mix/engine.hpp"
 #include "mix/model.hpp"
 #include "mix/schedule.hpp"
+#include "cluster/disturb.hpp"
 #include "cluster/fleet.hpp"
 #include "cluster/supervisor.hpp"
 #include "common/shutdown.hpp"
+#include "fault/injector.hpp"
+#include "net/client.hpp"
 #include "net/server.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "profiler/cuda_profiler.hpp"
+#include "serve/replay.hpp"
 #include "serve/server.hpp"
 #include "serve/trace.hpp"
 #include "workload/suite.hpp"
@@ -106,6 +120,14 @@ int usage(std::ostream& out, int code) {
          " [--cache N] [--jitter F]\n"
          "                  [--all-sizes] [--csv]"
          " [--power-model FILE --perf-model FILE]\n"
+         "  gppm loadgen --connect HOST:PORT [--requests N] [--connections N]\n"
+         "               [--open-loop RATE] [--jitter F] [--chaos] [--seed N]\n"
+         "  gppm loadgen --cluster N [--replicas R] [--gpu NAME]"
+         " [--requests N]\n"
+         "               [--connections N] [--open-loop RATE] [--jitter F]\n"
+         "               [--chaos] [--seed N] [--drain-every MS]"
+         " [--rolling-restart]\n"
+         "               [--supervise] [--admission] [--deadline-ms MS]\n"
          "  gppm chaos <gpu> [--fault-profile FILE] [--seed N]"
          " [--benchmarks N]\n"
          "  gppm mix <gpu> [--mixes N] [--degree D] [--seed N] [--fit]\n"
@@ -324,11 +346,9 @@ int cmd_governor(int argc, char** argv) {
 
   std::cout << "training models for " << sim::to_string(model) << "...\n";
   const core::Dataset ds = core::build_dataset(model);
-  core::ModelOptions popt;
-  popt.scaling = core::FeatureScaling::VoltageSquaredFrequency;
-  popt.include_baseline_terms = true;
   core::DvfsGovernor governor(
-      core::UnifiedModel::fit(ds, core::TargetKind::Power, popt),
+      core::UnifiedModel::fit(ds, core::TargetKind::Power,
+                              core::extended_power_options()),
       core::UnifiedModel::fit(ds, core::TargetKind::ExecTime));
 
   core::MeasurementRunner runner(model);
@@ -395,11 +415,10 @@ int cmd_govern(int argc, char** argv) {
 
   std::cout << "training models for " << sim::to_string(model) << "...\n";
   const core::Dataset ds = core::build_dataset(model);
-  core::ModelOptions popt;
-  popt.scaling = core::FeatureScaling::VoltageSquaredFrequency;
-  popt.include_baseline_terms = true;
   governor::GovernorLoop loop(
-      model, ds, core::UnifiedModel::fit(ds, core::TargetKind::Power, popt),
+      model, ds,
+      core::UnifiedModel::fit(ds, core::TargetKind::Power,
+                              core::extended_power_options()),
       core::UnifiedModel::fit(ds, core::TargetKind::ExecTime), opt);
 
   workload::PhaseScheduleOptions sched;
@@ -493,11 +512,8 @@ int cmd_serve(int argc, char** argv) {
   std::cout << "fitting models for " << sim::to_string(model)
             << " (extended form)...\n";
   const core::Dataset ds = core::build_dataset(model);
-  core::ModelOptions popt;
-  popt.scaling = core::FeatureScaling::VoltageSquaredFrequency;
-  popt.include_baseline_terms = true;
-  core::UnifiedModel power =
-      core::UnifiedModel::fit(ds, core::TargetKind::Power, popt);
+  core::UnifiedModel power = core::UnifiedModel::fit(
+      ds, core::TargetKind::Power, core::extended_power_options());
   core::UnifiedModel perf =
       core::UnifiedModel::fit(ds, core::TargetKind::ExecTime);
 
@@ -649,11 +665,9 @@ int cmd_serve_bench(int argc, char** argv) {
     std::cout << "fitting models for " << sim::to_string(model)
               << " (extended form)...\n";
     const core::Dataset ds = core::build_dataset(model);
-    core::ModelOptions popt;
-    popt.scaling = core::FeatureScaling::VoltageSquaredFrequency;
-    popt.include_baseline_terms = true;
     server.load_models(
-        core::UnifiedModel::fit(ds, core::TargetKind::Power, popt),
+        core::UnifiedModel::fit(ds, core::TargetKind::Power,
+                                core::extended_power_options()),
         core::UnifiedModel::fit(ds, core::TargetKind::ExecTime));
   }
 
@@ -667,31 +681,18 @@ int cmd_serve_bench(int argc, char** argv) {
             << " requests, " << clients << " closed-loop clients, " << workers
             << " workers\n";
 
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> pool;
-  pool.reserve(clients);
-  std::atomic<std::size_t> failed{0};
-  for (std::size_t c = 0; c < clients; ++c) {
-    pool.emplace_back([&, c] {
-      for (std::size_t i = c; i < trace.size(); i += clients) {
-        if (shutdown_requested()) break;
-        try {
-          server.submit(trace[i]).get();
-        } catch (const std::exception&) {
-          failed.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const serve::ReplayResult replayed = serve::replay(
+      trace,
+      [&server](const serve::Request& r) { return server.submit(r).get(); },
+      {clients});
 
   server.shutdown();
   const serve::ServerMetrics metrics = server.metrics();
   metrics.print(std::cout);
-  if (failed.load() > 0) std::cout << failed.load() << " requests failed\n";
+  if (replayed.failed > 0) {
+    std::cout << replayed.failed << " requests failed\n";
+  }
+  const double elapsed = replayed.elapsed_seconds;
   std::cout << "replayed " << trace.size() << " requests in "
             << format_double(elapsed, 3) << " s = "
             << format_double(static_cast<double>(trace.size()) / elapsed, 0)
@@ -703,6 +704,350 @@ int cmd_serve_bench(int argc, char** argv) {
   }
   if (shutdown_requested()) std::cout << "interrupted: partial replay\n";
   return 0;
+}
+
+struct LoadgenOptions {
+  std::string host;
+  std::uint16_t port = 0;
+  std::size_t requests = 2000;
+  std::size_t connections = 4;
+  double open_loop_rate = 0.0;  // 0 = closed loop
+  double jitter = 0.0;
+  bool chaos = false;
+  std::uint64_t seed = 42;
+  std::size_t cluster = 0;  // 0 = wire mode (--connect)
+  std::size_t replicas = 2;
+  std::string gpu = "gtx460";
+  double drain_every_ms = 0.0;  // 0 = no drain scheduler
+  bool rolling_restart = false;
+  bool supervise = false;
+  bool admission = false;
+  double deadline_ms = 0.0;  // 0 = no per-request deadline
+};
+
+void parse_connect(const std::string& value, LoadgenOptions& opt) {
+  const std::size_t colon = value.rfind(':');
+  if (colon == std::string::npos || colon == 0 || colon + 1 == value.size()) {
+    throw Error("--connect expects HOST:PORT, got '" + value + "'");
+  }
+  opt.host = value.substr(0, colon);
+  const unsigned long port = std::stoul(value.substr(colon + 1));
+  if (port == 0 || port > 65535) throw Error("port out of range");
+  opt.port = static_cast<std::uint16_t>(port);
+}
+
+void print_loop_shape(double open_loop_rate) {
+  if (open_loop_rate > 0.0) {
+    std::cout << "open loop at " << format_double(open_loop_rate, 0)
+              << " req/s\n";
+  } else {
+    std::cout << "closed loop\n";
+  }
+}
+
+/// One "status <name>" row per answered status, in name order.
+void add_status_rows(AsciiTable& table, const serve::ReplayResult& r) {
+  std::map<std::string, std::uint64_t> by_name;
+  for (const auto& [status, count] : r.statuses) {
+    by_name[serve::to_string(status)] = count;
+  }
+  for (const auto& [name, count] : by_name) {
+    table.add_row({"status " + name, std::to_string(count)});
+  }
+}
+
+void add_rate_rows(AsciiTable& table, const serve::ReplayResult& r) {
+  table.add_row({"req/s", format_double(r.rps(), 0)});
+  const std::pair<const char*, double> quantiles[] = {
+      {"p50 us", 0.50}, {"p95 us", 0.95}, {"p99 us", 0.99}, {"p999 us", 0.999}};
+  for (const auto& [label, q] : quantiles) {
+    table.add_row(
+        {label, format_double(serve::percentile(r.latencies, q) * 1e6, 1)});
+  }
+}
+
+/// Self-hosted fleet mode: build models once, answer the whole trace from
+/// a reference single-node server, then drive the routed fleet and demand
+/// bit-identity for every successful response.
+int loadgen_cluster(const LoadgenOptions& opt) {
+  const sim::GpuModel board = sim::parse_gpu(opt.gpu);
+  std::cout << "fitting models for " << sim::to_string(board)
+            << " (extended form)...\n";
+  const core::Dataset ds = core::build_dataset(board);
+  const core::UnifiedModel power = core::UnifiedModel::fit(
+      ds, core::TargetKind::Power, core::extended_power_options());
+  const core::UnifiedModel perf =
+      core::UnifiedModel::fit(ds, core::TargetKind::ExecTime);
+
+  const serve::PhaseCorpus corpus = serve::build_phase_corpus(board);
+  serve::TraceOptions topt;
+  topt.request_count = opt.requests;
+  topt.seed = opt.seed;
+  topt.counter_jitter = opt.jitter;
+  // Govern is stateful (hysteresis across requests), so replicated serving
+  // cannot promise bit-identity for it; the cluster trace sticks to the
+  // pure endpoints.
+  topt.govern_fraction = 0.0;
+  std::vector<serve::Request> trace = serve::synthetic_trace(corpus, topt);
+  const std::vector<serve::Response> truth =
+      serve::reference_answers(trace, power, perf);
+
+  // Deadlines are stamped after the ground truth is computed, so the
+  // reference answers stay the pure, deadline-free responses the gate
+  // compares against.
+  if (opt.deadline_ms > 0.0) {
+    for (serve::Request& r : trace) {
+      r.deadline = Duration::milliseconds(opt.deadline_ms);
+    }
+  }
+
+  fault::FaultInjector injector(fault::FaultPlan::cluster_profile(),
+                                opt.seed);
+  cluster::FleetOptions fopt;
+  fopt.backends = opt.cluster;
+  if (opt.chaos) {
+    fopt.wire = true;
+    fopt.injector = &injector;
+    fopt.client.retry.max_attempts = 8;
+    fopt.client.retry.initial_backoff = Duration::milliseconds(1.0);
+    fopt.client.retry.max_backoff = Duration::milliseconds(50.0);
+  }
+  cluster::RouterOptions ropt;
+  ropt.replicas = opt.replicas;
+  if (opt.chaos) ropt.injector = &injector;
+  ropt.admission_control = opt.admission;
+  cluster::LocalFleet fleet(power, perf, fopt, ropt);
+
+  std::cout << corpus.counters.size() << " phases, " << trace.size()
+            << " requests, " << opt.cluster << " backends ("
+            << (opt.chaos ? "wire" : "in-process") << "), " << opt.replicas
+            << " replicas per key, " << opt.connections << " workers, ";
+  print_loop_shape(opt.open_loop_rate);
+
+  // The supervisor owns recovery under --supervise: the reaper only
+  // kills, and the probe → backoff → restart loop brings nodes back.
+  std::unique_ptr<cluster::Supervisor> supervisor;
+  if (opt.supervise) {
+    cluster::SupervisorOptions sup;
+    sup.seed = opt.seed;
+    if (opt.chaos) sup.injector = &injector;
+    supervisor = std::make_unique<cluster::Supervisor>(fleet, sup);
+  }
+  cluster::DisturberOptions dopt;
+  dopt.seed = opt.seed;
+  dopt.kills = opt.chaos;
+  dopt.drain_every = Duration::milliseconds(opt.drain_every_ms);
+  dopt.rolling = opt.rolling_restart;
+  dopt.supervised = opt.supervise;
+  cluster::FleetDisturber disturber(fleet, dopt);
+
+  // The gate: every *successful* routed answer must equal the single-node
+  // ground truth bit for bit.  Typed failures (a replica set momentarily
+  // dead under chaos) show up as non-Ok status counts — they are
+  // refusals, never wrong answers.
+  const serve::ReplayResult result = serve::replay(
+      trace,
+      [&fleet](const serve::Request& r) { return fleet.router().predict(r); },
+      {opt.connections, opt.open_loop_rate}, truth);
+  const cluster::DisturbReport disturbed = disturber.stop();
+  if (supervisor) supervisor->stop();
+
+  AsciiTable table({"metric", "value"});
+  table.add_row({"answered", std::to_string(result.answered())});
+  add_status_rows(table, result);
+  table.add_row({"divergent", std::to_string(result.divergent)});
+  table.add_row({"failed", std::to_string(result.failed)});
+  add_rate_rows(table, result);
+  table.print(std::cout);
+
+  const cluster::RouterStats rs = fleet.router().stats();
+  std::cout << rs.requests << " routed, " << rs.hedges_fired << " hedges ("
+            << rs.hedge_wins << " wins, " << rs.hedges_abandoned
+            << " abandoned), " << rs.failovers << " failovers, "
+            << rs.breaker_opens << " breaker opens, " << rs.breaker_rejections
+            << " breaker rejections, " << rs.exhausted << " exhausted\n";
+  if (rs.drains > 0 || opt.admission) {
+    std::cout << rs.drains << " drains (" << rs.drain_handed_off
+              << " requests handed off), " << rs.admission_shed
+              << " shed by admission\n";
+  }
+  if (opt.drain_every_ms > 0.0) {
+    std::cout << "drain scheduler: " << disturbed.drains
+              << " planned drains, " << disturbed.lossy_drains
+              << " with loss\n";
+  }
+  if (opt.rolling_restart) {
+    std::cout << "rolling restarts: " << disturbed.sweeps << " full sweeps, "
+              << disturbed.lossy_sweeps << " with loss\n";
+  }
+  if (supervisor) {
+    const cluster::SupervisorStats ss = supervisor->stats();
+    std::cout << "supervisor: " << ss.probes << " probes ("
+              << ss.probe_failures << " failed, " << ss.probes_lost
+              << " injected losses), " << ss.restarts << " restarts, "
+              << ss.budget_exhausted << " budget exhaustions\n";
+  }
+  if (opt.chaos) {
+    std::cout << "chaos: " << disturbed.kills << " backend kills, "
+              << injector.total_fires() << "/" << injector.total_checks()
+              << " site checks fired\n";
+  }
+  // The full disturbance history, one event per line: two same-seed runs
+  // emit identical logs (diff them to prove a repro).
+  if (!disturbed.event_log.empty()) {
+    std::cout << "event log (seed " << opt.seed << "):\n"
+              << disturbed.event_log;
+  }
+  fleet.stop();
+
+  if (result.divergent != 0) {
+    std::cerr << "FAIL: " << result.divergent
+              << " successful responses diverged from single-node ground"
+                 " truth\n";
+    return 1;
+  }
+  if (result.failed != 0) {
+    std::cerr << "FAIL: " << result.failed << " routed calls threw\n";
+    return 1;
+  }
+  if (shutdown_requested()) {
+    std::cout << "interrupted: partial run, " << result.ok()
+              << " successful responses (all bit-identical)\n";
+    return 0;
+  }
+  if (result.ok() == 0) {
+    std::cerr << "FAIL: no successful responses\n";
+    return 1;
+  }
+  std::cout << "bit-identity gate: " << result.ok() << "/" << result.ok()
+            << " successful responses identical to single-node ground"
+               " truth\n";
+  return 0;
+}
+
+/// Wire mode: replay a trace for the first board a running
+/// `gppm serve --listen` announces.
+int loadgen_wire(const LoadgenOptions& opt) {
+  fault::FaultInjector injector(fault::FaultPlan::net_profile(), opt.seed);
+  net::ClientOptions copt;
+  copt.host = opt.host;
+  copt.port = opt.port;
+  copt.pool_size = opt.connections;
+  if (opt.chaos) {
+    copt.retry.max_attempts = 8;
+    copt.retry.initial_backoff = Duration::milliseconds(1.0);
+    copt.retry.max_backoff = Duration::milliseconds(50.0);
+  }
+  net::Client client(copt, opt.chaos ? &injector : nullptr);
+
+  client.ping();
+  const net::ServerInfo info = client.info();
+  if (info.boards.empty()) throw Error("server has no models loaded");
+  const sim::GpuModel board = info.boards.front().gpu;
+  std::cout << "server speaks protocol v"
+            << static_cast<int>(info.protocol_version) << ", boards:";
+  for (const net::ModelInfo& m : info.boards) {
+    std::cout << " " << sim::to_string(m.gpu);
+  }
+  std::cout << "\nbuilding " << sim::to_string(board) << " phase corpus...\n";
+
+  const serve::PhaseCorpus corpus = serve::build_phase_corpus(board);
+  serve::TraceOptions topt;
+  topt.request_count = opt.requests;
+  topt.seed = opt.seed;
+  topt.counter_jitter = opt.jitter;
+  const std::vector<serve::Request> trace =
+      serve::synthetic_trace(corpus, topt);
+
+  std::cout << corpus.counters.size() << " phases, " << trace.size()
+            << " requests, " << opt.connections << " connections, ";
+  print_loop_shape(opt.open_loop_rate);
+
+  // A call that throws (retries exhausted under chaos, or the server went
+  // away) is counted, not fatal: the report shows partial failure.
+  const serve::ReplayResult result = serve::replay(
+      trace,
+      [&client](const serve::Request& r) { return client.predict(r); },
+      {opt.connections, opt.open_loop_rate});
+
+  AsciiTable table({"metric", "value"});
+  table.add_row({"answered", std::to_string(result.answered())});
+  table.add_row({"transport failures", std::to_string(result.failed)});
+  add_status_rows(table, result);
+  add_rate_rows(table, result);
+  table.print(std::cout);
+
+  const net::ClientStats cs = client.stats();
+  std::cout << cs.rpcs << " RPCs, " << cs.reconnects << " reconnects, "
+            << cs.transport_retries << " transport retries, " << cs.bytes_sent
+            << " bytes out / " << cs.bytes_received << " in\n";
+  if (opt.chaos) {
+    std::cout << "chaos: " << injector.total_fires() << "/"
+              << injector.total_checks() << " site checks fired\n";
+  }
+  if (shutdown_requested()) {
+    std::cout << "interrupted: partial run\n";
+    return 0;
+  }
+  return result.failed == trace.size() ? 1 : 0;
+}
+
+int cmd_loadgen(int argc, char** argv) {
+  // gppm loadgen --connect HOST:PORT | --cluster N [options]
+  LoadgenOptions opt;
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const bool has_value = i + 1 < argc;
+    if (arg == "--help" || arg == "-h") return usage(std::cout, 0);
+    if (arg == "--connect" && has_value) {
+      parse_connect(argv[++i], opt);
+    } else if (arg == "--cluster" && has_value) {
+      opt.cluster = std::stoul(argv[++i]);
+    } else if (arg == "--replicas" && has_value) {
+      opt.replicas = std::stoul(argv[++i]);
+    } else if (arg == "--gpu" && has_value) {
+      opt.gpu = argv[++i];
+    } else if (arg == "--requests" && has_value) {
+      opt.requests = std::stoul(argv[++i]);
+    } else if (arg == "--connections" && has_value) {
+      opt.connections = std::stoul(argv[++i]);
+    } else if (arg == "--open-loop" && has_value) {
+      opt.open_loop_rate = std::stod(argv[++i]);
+    } else if (arg == "--jitter" && has_value) {
+      opt.jitter = std::stod(argv[++i]);
+    } else if (arg == "--chaos") {
+      opt.chaos = true;
+    } else if (arg == "--seed" && has_value) {
+      opt.seed = std::stoull(argv[++i]);
+    } else if (arg == "--drain-every" && has_value) {
+      opt.drain_every_ms = std::stod(argv[++i]);
+    } else if (arg == "--rolling-restart") {
+      opt.rolling_restart = true;
+    } else if (arg == "--supervise") {
+      opt.supervise = true;
+    } else if (arg == "--admission") {
+      opt.admission = true;
+    } else if (arg == "--deadline-ms" && has_value) {
+      opt.deadline_ms = std::stod(argv[++i]);
+    } else {
+      return usage();
+    }
+  }
+  const bool wire = !opt.host.empty();
+  const bool fleet = opt.cluster > 0;
+  if (wire == fleet || opt.requests == 0 || opt.connections == 0 ||
+      opt.replicas == 0) {
+    return usage();
+  }
+  if (!fleet && (opt.drain_every_ms > 0.0 || opt.rolling_restart ||
+                 opt.supervise || opt.admission || opt.deadline_ms > 0.0)) {
+    return usage();  // reconfiguration flags are --cluster only
+  }
+  // Ctrl-C drains the run: workers start nothing new, the partial report
+  // prints, the obs artifacts flush, and the exit code is 0 (divergence
+  // still fails).
+  install_shutdown_handler();
+  return fleet ? loadgen_cluster(opt) : loadgen_wire(opt);
 }
 
 int cmd_chaos(int argc, char** argv) {
@@ -952,6 +1297,7 @@ int main(int argc, char** argv) {
     else if (cmd == "govern") rc = cmd_govern(argc, argv);
     else if (cmd == "serve") rc = cmd_serve(argc, argv);
     else if (cmd == "serve-bench") rc = cmd_serve_bench(argc, argv);
+    else if (cmd == "loadgen") rc = cmd_loadgen(argc, argv);
     else if (cmd == "chaos") rc = cmd_chaos(argc, argv);
     else if (cmd == "mix") rc = cmd_mix(argc, argv);
     else if (cmd == "obs-demo") rc = cmd_obs_demo();
