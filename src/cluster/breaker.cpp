@@ -63,25 +63,25 @@ void CircuitBreaker::record_success(Clock::time_point now) {
   }
 }
 
-void CircuitBreaker::record_failure(Clock::time_point now) {
+bool CircuitBreaker::record_failure(Clock::time_point now) {
   std::lock_guard<std::mutex> lock(mutex_);
   switch (state_) {
     case BreakerState::Closed:
-      if (++consecutive_failures_ >= options_.failure_threshold) {
-        consecutive_failures_ = 0;
-        open(now);
-      }
-      break;
+      if (++consecutive_failures_ < options_.failure_threshold) return false;
+      consecutive_failures_ = 0;
+      open(now);
+      return true;
     case BreakerState::HalfOpen:
       // One failed probe is proof enough: back to Open, cooldown restarts.
       open(now);
-      break;
+      return true;
     case BreakerState::Open:
       // Stragglers from requests launched before the trip; stay Open but
       // do not extend the cooldown (a recovering backend should not be
       // held hostage by old failures draining).
-      break;
+      return false;
   }
+  return false;
 }
 
 BreakerState CircuitBreaker::state(Clock::time_point now) const {

@@ -53,12 +53,12 @@ class CircuitBreaker {
   bool allow(Clock::time_point now = Clock::now());
 
   void record_success(Clock::time_point now = Clock::now());
-  void record_failure(Clock::time_point now = Clock::now());
+  /// True when this failure tripped the breaker Open.
+  bool record_failure(Clock::time_point now = Clock::now());
 
   BreakerState state(Clock::time_point now = Clock::now()) const;
 
-  /// Closed/HalfOpen -> Open transitions so far (the obs counter's
-  /// source).
+  /// Closed/HalfOpen -> Open transitions so far.
   std::uint64_t opens() const;
 
  private:

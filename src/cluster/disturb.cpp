@@ -97,8 +97,12 @@ void FleetDisturber::schedule_drains() {
     const ChaosEvent event = drain_schedule_.next();
     if (event.action == ChaosAction::Drain) {
       const DrainReport drain = fleet_.drain_node(event.node);
-      ++counts_.drains;
-      if (!drain.zero_loss) ++counts_.lossy_drains;
+      if (drain.refused) {
+        ++counts_.refused_drains;
+      } else {
+        ++counts_.drains;
+        if (!drain.zero_loss) ++counts_.lossy_drains;
+      }
     } else if (event.action == ChaosAction::Rejoin) {
       fleet_.rejoin(event.node);
     }
@@ -111,6 +115,7 @@ void FleetDisturber::roll() {
     const RollingRestartReport report = fleet_.rolling_restart();
     ++counts_.sweeps;
     counts_.sweep_drains += report.drains.size();
+    counts_.refused_sweep_drains += report.refused;
     if (!report.zero_loss) ++counts_.lossy_sweeps;
     paced_sleep(kBetweenSweeps);
   } while (running());

@@ -51,6 +51,10 @@ struct DisturbReport {
   std::uint64_t kills = 0;         ///< reaper kills
   std::uint64_t drains = 0;        ///< drain-scheduler drains
   std::uint64_t lossy_drains = 0;  ///< of those, drains that lost requests
+  /// Drains LocalFleet refused because the node was the ring's last
+  /// member (not counted as drains or sweep drains).
+  std::uint64_t refused_drains = 0;
+  std::uint64_t refused_sweep_drains = 0;
   std::uint64_t sweeps = 0;        ///< full rolling sweeps
   std::uint64_t sweep_drains = 0;  ///< node drains inside those sweeps
   std::uint64_t lossy_sweeps = 0;  ///< sweeps with a drain that lost requests

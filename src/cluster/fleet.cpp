@@ -1,6 +1,7 @@
 #include "cluster/fleet.hpp"
 
 #include <chrono>
+#include <mutex>
 #include <utility>
 
 #include "common/error.hpp"
@@ -135,8 +136,20 @@ std::size_t LocalFleet::add_node() {
   return nodes_.size() - 1;
 }
 
+bool LocalFleet::last_member(std::size_t i) const {
+  const std::vector<std::string> members = router_->backends();
+  return members.size() == 1 && members.front() == name(i);
+}
+
 DrainReport LocalFleet::drain_node(std::size_t i, Duration timeout) {
   Node& node = node_at(i);
+  std::lock_guard<std::mutex> planned(planned_mutex_);
+  if (last_member(i)) {
+    DrainReport refused;
+    refused.backend = node.local->name();
+    refused.refused = true;
+    return refused;
+  }
   // Router drain first: the node leaves the ring and finishes its
   // in-flight work while still fully alive, *then* the engine goes down.
   DrainReport report =
@@ -151,6 +164,7 @@ DrainReport LocalFleet::drain_node(std::size_t i, Duration timeout) {
 }
 
 void LocalFleet::rejoin(std::size_t i) {
+  std::lock_guard<std::mutex> planned(planned_mutex_);
   if (in_ring(i)) return;
   restart(i);
   Node& node = node_at(i);
@@ -183,7 +197,12 @@ RollingRestartReport LocalFleet::rolling_restart(Duration per_node_timeout) {
   RollingRestartReport report;
   const std::size_t count = size();
   for (std::size_t i = 0; i < count; ++i) {
+    std::lock_guard<std::mutex> planned(planned_mutex_);
     if (!in_ring(i)) continue;  // drained/parked nodes are not upgraded
+    if (last_member(i)) {
+      ++report.refused;
+      continue;
+    }
     DrainReport drain =
         router_->drain_backend(name(i), per_node_timeout);
     restart(i);

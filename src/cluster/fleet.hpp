@@ -24,7 +24,10 @@
 // zero-downtime upgrade shape).  add_node() grows the fleet live.  All
 // lifecycle entry points are safe to call concurrently — a Supervisor
 // restarting node 2 while a chaos reaper kills node 0 and a drain
-// scheduler cycles node 1 is the intended load.
+// scheduler cycles node 1 is the intended load.  Planned steps run one at
+// a time (drain_node, rejoin, and each node's step of rolling_restart),
+// and none of them drains the ring's last member: that drain is refused
+// and reported, and the node keeps serving.
 //
 // Optional shaping wraps every node in a ShapedBackend service envelope
 // (see backend.hpp for why the scaling bench needs one on a 1-core host).
@@ -65,7 +68,10 @@ struct FleetOptions {
 /// Outcome of one rolling_restart(): per-node drain reports plus the
 /// aggregate verdict.
 struct RollingRestartReport {
+  /// One per node drained; refused nodes are not drained or restarted.
   std::vector<DrainReport> drains;
+  /// In-ring nodes skipped because each was the ring's last member.
+  std::size_t refused = 0;
   bool zero_loss = true;  ///< every drain completed with zero loss
   Duration duration = Duration::seconds(0.0);
 };
@@ -99,7 +105,8 @@ class LocalFleet {
   /// join it to the ring.  Returns its index.
   std::size_t add_node();
   /// Planned removal of node i: drain on the router (handoff), then shut
-  /// the engine down.  `timeout` <= 0 uses the router default.
+  /// the engine down.  `timeout` <= 0 uses the router default.  Refused,
+  /// the node untouched, when it is the ring's last member.
   DrainReport drain_node(std::size_t i,
                          Duration timeout = Duration::seconds(0.0));
   /// Bring a drained/killed node back: fresh engine, rejoin the ring.
@@ -111,7 +118,8 @@ class LocalFleet {
   /// One supervised health probe of node i through its fronting backend.
   bool probe(std::size_t i) const;
   /// Drain → restart → rejoin every in-ring node, one at a time, under
-  /// whatever traffic is running.  The zero-downtime upgrade shape.
+  /// whatever traffic is running.  The zero-downtime upgrade shape.  A
+  /// node that is the ring's last member when its turn comes is skipped.
   RollingRestartReport rolling_restart(
       Duration per_node_timeout = Duration::seconds(0.0));
 
@@ -141,6 +149,9 @@ class LocalFleet {
   /// it to the ring.
   std::unique_ptr<Node> make_node(const std::string& name);
   Node& node_at(std::size_t i) const;
+  /// True when node i is the ring's only member (valid while
+  /// planned_mutex_ is held).
+  bool last_member(std::size_t i) const;
 
   FleetOptions options_;
   core::UnifiedModel power_;
@@ -153,6 +164,9 @@ class LocalFleet {
   std::vector<serve::PredictionServer::LoadedModel> models_;
   std::unique_ptr<Router> router_;
   bool stopped_ = false;
+  /// Serializes planned membership steps, so no two of them act on one
+  /// view of the ring.
+  std::mutex planned_mutex_;
 };
 
 }  // namespace gppm::cluster

@@ -11,63 +11,6 @@ namespace gppm::cluster {
 
 namespace {
 
-struct RouterObs {
-  obs::Counter& requests;
-  obs::Counter& hedges_fired;
-  obs::Counter& hedge_wins;
-  obs::Counter& hedges_abandoned;
-  obs::Counter& failovers;
-  obs::Counter& breaker_opens;
-  obs::Counter& breaker_rejections;
-  obs::Counter& ring_remaps;
-  obs::Counter& exhausted;
-  obs::Counter& admission_shed;
-  obs::Histogram& latency_us;
-};
-
-RouterObs& router_obs() {
-  obs::Registry& reg = obs::Registry::instance();
-  static RouterObs instruments{
-      reg.counter("cluster.router.requests"),
-      reg.counter("cluster.router.hedges_fired"),
-      reg.counter("cluster.router.hedge_wins"),
-      reg.counter("cluster.router.hedges_abandoned"),
-      reg.counter("cluster.router.failovers"),
-      reg.counter("cluster.router.breaker_opens"),
-      reg.counter("cluster.router.breaker_rejections"),
-      reg.counter("cluster.router.ring_remaps"),
-      reg.counter("cluster.router.exhausted"),
-      reg.counter("cluster.router.admission_shed"),
-      reg.histogram("cluster.router.latency_us"),
-  };
-  return instruments;
-}
-
-struct DrainObs {
-  obs::Counter& started;
-  obs::Counter& completed;
-  obs::Counter& timeouts;
-  obs::Counter& handed_off;
-  obs::Histogram& duration_ms;
-};
-
-DrainObs& drain_obs() {
-  obs::Registry& reg = obs::Registry::instance();
-  static DrainObs instruments{
-      reg.counter("cluster.drain.started"),
-      reg.counter("cluster.drain.completed"),
-      reg.counter("cluster.drain.timeouts"),
-      reg.counter("cluster.drain.handed_off"),
-      reg.histogram("cluster.drain.duration_ms"),
-  };
-  return instruments;
-}
-
-/// Per-backend in-flight gauge (dynamic name: one per joined backend).
-obs::Gauge& in_flight_gauge(const std::string& name) {
-  return obs::Registry::instance().gauge("cluster.router.in_flight." + name);
-}
-
 std::chrono::steady_clock::duration to_steady(Duration d) {
   return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
       std::chrono::duration<double>(d.as_seconds()));
@@ -80,13 +23,14 @@ std::chrono::steady_clock::duration to_steady(Duration d) {
 Router::Router(RouterOptions options)
     : options_(options),
       ring_(options.ring_vnodes),
-      async_queue_(4096) {
+      admission_(options.admission_control
+                     ? std::make_unique<serve::AdmissionController>(
+                           options.admission)
+                     : nullptr),
+      async_queue_(4096),
+      scope_([this](obs::MetricsSnapshot& rows) { add_rows(rows); }) {
   GPPM_CHECK(options_.replicas >= 1, "router needs replicas >= 1");
   GPPM_CHECK(options_.async_workers >= 1, "router needs async workers >= 1");
-  if (options_.admission_control) {
-    admission_ =
-        std::make_unique<serve::AdmissionController>(options_.admission);
-  }
   executors_.reserve(options_.async_workers);
   for (std::size_t i = 0; i < options_.async_workers; ++i) {
     executors_.emplace_back([this] { executor_loop(); });
@@ -110,26 +54,24 @@ void Router::stop() {
 void Router::add_backend(std::shared_ptr<Backend> backend) {
   GPPM_CHECK(backend != nullptr, "null backend");
   const std::string name = backend->name();
-  obs::Gauge& gauge = in_flight_gauge(name);
+  obs::Gauge* gauge = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(gauges_mutex_);
+    gauge = &in_flight_gauges_[name];
+  }
   std::unique_lock<std::shared_mutex> lock(membership_mutex_);
   GPPM_CHECK(slots_.find(name) == slots_.end(),
              "backend '" + name + "' already joined");
   slots_.emplace(name, std::make_shared<Slot>(std::move(backend),
-                                              options_.breaker, gauge));
-  if (ring_.add(name)) {
-    ring_remaps_.fetch_add(1);
-    router_obs().ring_remaps.add();
-  }
+                                              options_.breaker, *gauge));
+  if (ring_.add(name)) ring_remaps_.fetch_add(1);
 }
 
 void Router::remove_backend(const std::string& name) {
   std::unique_lock<std::shared_mutex> lock(membership_mutex_);
   slots_.erase(name);
   draining_.erase(name);
-  if (ring_.remove(name)) {
-    ring_remaps_.fetch_add(1);
-    router_obs().ring_remaps.add();
-  }
+  if (ring_.remove(name)) ring_remaps_.fetch_add(1);
 }
 
 DrainReport Router::drain_backend(const std::string& name, Duration timeout) {
@@ -147,10 +89,7 @@ DrainReport Router::drain_backend(const std::string& name, Duration timeout) {
       slot = live->second;
       draining_.emplace(name, slot);
       slots_.erase(live);
-      if (ring_.remove(name)) {
-        ring_remaps_.fetch_add(1);
-        router_obs().ring_remaps.add();
-      }
+      if (ring_.remove(name)) ring_remaps_.fetch_add(1);
     } else {
       // A second drain of the same name observes the in-progress one;
       // fully unknown names are a completed no-op.
@@ -164,14 +103,12 @@ DrainReport Router::drain_backend(const std::string& name, Duration timeout) {
     }
   }
   drains_.fetch_add(1);
-  drain_obs().started.add();
 
   // Everything still counted on the slot is the handoff set: requests
   // routed before the membership change that will finish on the leaving
   // backend (or fail over off it).
   report.in_flight_at_start = static_cast<std::uint64_t>(
-      std::max<std::int64_t>(slot->in_flight.load(std::memory_order_relaxed),
-                             0));
+      std::max<std::int64_t>(slot->in_flight.value(), 0));
   const std::uint64_t failures_before =
       slot->failures.load(std::memory_order_relaxed);
 
@@ -186,13 +123,12 @@ DrainReport Router::drain_backend(const std::string& name, Duration timeout) {
 
   const auto deadline = start + to_steady(timeout);
   const auto poll = to_steady(options_.drain_poll);
-  while (slot->in_flight.load(std::memory_order_acquire) > 0) {
+  while (slot->in_flight.value() > 0) {
     if (std::chrono::steady_clock::now() >= deadline) break;
     std::this_thread::sleep_for(poll);
   }
 
-  const std::int64_t left = slot->in_flight.load(std::memory_order_acquire);
-  report.completed = left == 0;
+  report.completed = slot->in_flight.value() == 0;
   const std::uint64_t failures_after =
       slot->failures.load(std::memory_order_relaxed);
   report.handed_off = report.in_flight_at_start;
@@ -206,13 +142,8 @@ DrainReport Router::drain_backend(const std::string& name, Duration timeout) {
     draining_.erase(name);
   }
   drain_handed_off_.fetch_add(report.handed_off);
-  drain_obs().handed_off.add(report.handed_off);
-  drain_obs().duration_ms.record(report.duration.as_seconds() * 1e3);
-  if (report.completed) {
-    drain_obs().completed.add();
-  } else {
-    drain_obs().timeouts.add();
-  }
+  drain_duration_ms_.record(report.duration.as_seconds() * 1e3);
+  (report.completed ? drains_completed_ : drain_timeouts_).fetch_add(1);
   return report;
 }
 
@@ -255,7 +186,6 @@ bool Router::launch(const std::vector<SlotPtr>& candidates, std::size_t& next,
     SlotPtr slot = candidates[next++];
     if (!slot->breaker.allow()) {
       breaker_rejections_.fetch_add(1);
-      router_obs().breaker_rejections.add();
       continue;
     }
     try {
@@ -264,17 +194,15 @@ bool Router::launch(const std::vector<SlotPtr>& candidates, std::size_t& next,
       flight.future = slot->backend->submit(request);
       flight.slot = slot;
       flight.is_hedge = is_hedge;
-      slot->in_flight.fetch_add(1, std::memory_order_relaxed);
-      slot->gauge.add(1);
+      slot->in_flight.add(1);
       out = std::move(flight);
       return true;
     } catch (const std::exception&) {
       // Could not even accept (killed node, stopped pool): a synchronous
       // failure, recorded like any other.
-      slot->breaker.record_failure();
+      record_failure(*slot);
       slot->failures.fetch_add(1, std::memory_order_relaxed);
       failovers_.fetch_add(1);
-      router_obs().failovers.add();
     }
   }
   return false;
@@ -285,7 +213,6 @@ serve::Response Router::predict(const serve::Request& request) {
 
   if (!admission_->try_acquire(request.deadline)) {
     admission_shed_.fetch_add(1);
-    router_obs().admission_shed.add();
     serve::Response response;
     response.kind = request.kind;
     response.status = serve::ResponseStatus::Overloaded;
@@ -324,20 +251,15 @@ serve::Response Router::predict_admitted(const serve::Request& request) {
     throw Error("cluster router is stopped");
   }
   requests_.fetch_add(1);
-  router_obs().requests.add();
 
   const std::vector<SlotPtr> candidates = route(request);
   if (candidates.empty()) {
     throw Error("cluster router has no backends");
   }
 
-  auto finish = [&](Flight& flight) {
-    flight.slot->in_flight.fetch_add(-1, std::memory_order_relaxed);
-    flight.slot->gauge.add(-1);
-  };
+  auto finish = [&](Flight& flight) { flight.slot->in_flight.add(-1); };
   auto typed_failure = [&] {
     exhausted_.fetch_add(1);
-    router_obs().exhausted.add();
     serve::Response response;
     response.kind = request.kind;
     response.status = serve::ResponseStatus::InternalError;
@@ -378,11 +300,7 @@ serve::Response Router::predict_admitted(const serve::Request& request) {
                                           it->launched)
                 .count();
         latency_.record(took);
-        router_obs().latency_us.record(took * 1e6);
-        if (it->is_hedge) {
-          hedge_wins_.fetch_add(1);
-          router_obs().hedge_wins.add();
-        }
+        if (it->is_hedge) hedge_wins_.fetch_add(1);
         finish(*it);
         for (auto other = flights.begin(); other != flights.end(); ++other) {
           if (other == it) continue;
@@ -391,15 +309,13 @@ serve::Response Router::predict_admitted(const serve::Request& request) {
           // because predictions are pure.
           finish(*other);
           hedges_abandoned_.fetch_add(1);
-          router_obs().hedges_abandoned.add();
         }
         return response;
       } catch (const std::exception&) {
-        it->slot->breaker.record_failure();
+        record_failure(*it->slot);
         it->slot->failures.fetch_add(1, std::memory_order_relaxed);
         finish(*it);
         failovers_.fetch_add(1);
-        router_obs().failovers.add();
         it = flights.erase(it);
       }
     }
@@ -420,7 +336,6 @@ serve::Response Router::predict_admitted(const serve::Request& request) {
       Flight hedge;
       if (launch(candidates, next, /*is_hedge=*/true, hedge, request)) {
         hedges_fired_.fetch_add(1);
-        router_obs().hedges_fired.add();
         flights.push_back(std::move(hedge));
       }
     }
@@ -489,19 +404,14 @@ void Router::health_loop() {
           if (slot->breaker.allow()) slot->breaker.record_success();
         }
       } else {
-        slot->breaker.record_failure();
+        record_failure(*slot);
       }
     }
-
-    // Mirror Closed/HalfOpen -> Open transitions into the obs counter
-    // (single-threaded here, so a plain delta is race-free).
-    std::uint64_t opens = 0;
-    for (const SlotPtr& slot : snapshot) opens += slot->breaker.opens();
-    if (opens > reported_opens_) {
-      router_obs().breaker_opens.add(opens - reported_opens_);
-      reported_opens_ = opens;
-    }
   }
+}
+
+void Router::record_failure(Slot& slot) {
+  if (slot.breaker.record_failure()) breaker_opens_.fetch_add(1);
 }
 
 net::HealthStatus Router::health() const {
@@ -536,14 +446,9 @@ BreakerState Router::breaker_state(const std::string& name) const {
 }
 
 std::int64_t Router::in_flight(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(membership_mutex_);
-  if (const auto it = slots_.find(name); it != slots_.end()) {
-    return it->second->in_flight.load(std::memory_order_relaxed);
-  }
-  if (const auto it = draining_.find(name); it != draining_.end()) {
-    return it->second->in_flight.load(std::memory_order_relaxed);
-  }
-  return 0;
+  std::lock_guard<std::mutex> lock(gauges_mutex_);
+  const auto it = in_flight_gauges_.find(name);
+  return it == in_flight_gauges_.end() ? 0 : it->second.value();
 }
 
 RouterStats Router::stats() const {
@@ -553,20 +458,44 @@ RouterStats Router::stats() const {
   s.hedge_wins = hedge_wins_.load();
   s.hedges_abandoned = hedges_abandoned_.load();
   s.failovers = failovers_.load();
+  s.breaker_opens = breaker_opens_.load();
   s.breaker_rejections = breaker_rejections_.load();
   s.ring_remaps = ring_remaps_.load();
   s.exhausted = exhausted_.load();
   s.drains = drains_.load();
   s.drain_handed_off = drain_handed_off_.load();
   s.admission_shed = admission_shed_.load();
-  std::shared_lock<std::shared_mutex> lock(membership_mutex_);
-  for (const auto& [name, slot] : slots_) {
-    s.breaker_opens += slot->breaker.opens();
-  }
-  for (const auto& [name, slot] : draining_) {
-    s.breaker_opens += slot->breaker.opens();
-  }
   return s;
+}
+
+void Router::add_rows(obs::MetricsSnapshot& rows) const {
+  const RouterStats s = stats();
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"cluster.router.requests", s.requests},
+      {"cluster.router.hedges_fired", s.hedges_fired},
+      {"cluster.router.hedge_wins", s.hedge_wins},
+      {"cluster.router.hedges_abandoned", s.hedges_abandoned},
+      {"cluster.router.failovers", s.failovers},
+      {"cluster.router.breaker_opens", s.breaker_opens},
+      {"cluster.router.breaker_rejections", s.breaker_rejections},
+      {"cluster.router.ring_remaps", s.ring_remaps},
+      {"cluster.router.exhausted", s.exhausted},
+      {"cluster.router.admission_shed", s.admission_shed},
+      {"cluster.drain.started", s.drains},
+      {"cluster.drain.completed", drains_completed_.load()},
+      {"cluster.drain.timeouts", drain_timeouts_.load()},
+      {"cluster.drain.handed_off", s.drain_handed_off},
+  };
+  for (const auto& [name, value] : counters) rows.add_counter(name, value);
+  rows.add_histogram("cluster.router.latency_s", latency_);
+  rows.add_histogram("cluster.drain.duration_ms", drain_duration_ms_);
+  {
+    std::lock_guard<std::mutex> lock(gauges_mutex_);
+    for (const auto& [name, gauge] : in_flight_gauges_) {
+      rows.add_gauge("cluster.router.in_flight." + name, gauge);
+    }
+  }
+  if (admission_) admission_->add_rows(rows);
 }
 
 }  // namespace gppm::cluster

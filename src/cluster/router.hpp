@@ -42,10 +42,12 @@
 //
 // predict() is synchronous on the caller's thread (closed-loop clients,
 // the bench).  submit() runs predict() on a private executor and returns
-// a future — the shape net::Server's bridge needs.  Everything is
-// instrumented under cluster.router.* (requests, hedges fired/won/
-// abandoned, failovers, breaker transitions, ring remaps, per-backend
-// in-flight gauges, end-to-end latency histogram).
+// a future — the shape net::Server's bridge needs.  The router's
+// obs::Scope exports its own counts under cluster.router.* (requests,
+// hedges fired/won/abandoned, failovers, breaker opens, ring remaps,
+// per-backend in-flight gauges, the hedge-trigger latency histogram),
+// its drains under cluster.drain.* and its admission controller under
+// serve.admission.*.
 #pragma once
 
 #include <atomic>
@@ -54,6 +56,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -125,6 +128,9 @@ struct DrainReport {
   bool zero_loss = false;
   /// In-flight reached zero before the timeout.
   bool completed = false;
+  /// LocalFleet refused the drain: the backend was the ring's last
+  /// member, so it was left serving and nothing else in this report holds.
+  bool refused = false;
 };
 
 struct RouterStats {
@@ -185,8 +191,8 @@ class Router {
 
   BreakerState breaker_state(const std::string& name) const;
   RouterStats stats() const;
-  /// Router-observed in-flight count for one backend (0 for unknown;
-  /// draining backends still report).
+  /// Router-observed in-flight count for one backend name (0 for a name
+  /// that never joined; draining and departed backends still report).
   std::int64_t in_flight(const std::string& name) const;
   /// Current hedge trigger (what the next slow primary would wait).
   Duration hedge_delay() const;
@@ -203,15 +209,14 @@ class Router {
   struct Slot {
     std::shared_ptr<Backend> backend;
     CircuitBreaker breaker;
-    std::atomic<std::int64_t> in_flight{0};
+    /// The router's in-flight gauge for this backend's name (kept across
+    /// leave and rejoin, like its high-water mark).
+    obs::Gauge& in_flight;
     /// Failed flights on this backend (feeds the drain zero-loss flag).
     std::atomic<std::uint64_t> failures{0};
-    /// cluster.router.in_flight.<name>, resolved once at join time so the
-    /// hot path never touches the registry map.
-    obs::Gauge& gauge;
     Slot(std::shared_ptr<Backend> b, const BreakerOptions& bo,
          obs::Gauge& g)
-        : backend(std::move(b)), breaker(bo), gauge(g) {}
+        : backend(std::move(b)), breaker(bo), in_flight(g) {}
   };
   using SlotPtr = std::shared_ptr<Slot>;
 
@@ -237,8 +242,18 @@ class Router {
               bool is_hedge, Flight& out, const serve::Request& request);
   void health_loop();
   void executor_loop();
+  /// A failed flight or probe: feeds the breaker, counts an open.
+  void record_failure(Slot& slot);
+  /// The scope's reader.
+  void add_rows(obs::MetricsSnapshot& rows) const;
 
   RouterOptions options_;
+  /// Per-backend-name in-flight gauges, declared before the slots that
+  /// reference them; map nodes never move.  A leaf lock: the scope's
+  /// reader takes it.
+  mutable std::mutex gauges_mutex_;
+  std::map<std::string, obs::Gauge> in_flight_gauges_;
+
   mutable std::shared_mutex membership_mutex_;
   HashRing ring_;
   std::map<std::string, SlotPtr> slots_;
@@ -259,15 +274,21 @@ class Router {
   std::atomic<std::uint64_t> hedge_wins_{0};
   std::atomic<std::uint64_t> hedges_abandoned_{0};
   std::atomic<std::uint64_t> failovers_{0};
+  /// Closed/HalfOpen -> Open transitions of every breaker this router
+  /// ever held, so backends that leave keep their share.
+  std::atomic<std::uint64_t> breaker_opens_{0};
   std::atomic<std::uint64_t> breaker_rejections_{0};
   std::atomic<std::uint64_t> ring_remaps_{0};
   std::atomic<std::uint64_t> exhausted_{0};
   std::atomic<std::uint64_t> drains_{0};
+  std::atomic<std::uint64_t> drains_completed_{0};
+  std::atomic<std::uint64_t> drain_timeouts_{0};
   std::atomic<std::uint64_t> drain_handed_off_{0};
+  obs::Histogram drain_duration_ms_;
   std::atomic<std::uint64_t> admission_shed_{0};
-  /// Breaker opens already mirrored to the obs counter (health thread
-  /// only).
-  std::uint64_t reported_opens_ = 0;
+
+  /// Last member: constructed after and destroyed before what it reads.
+  obs::Scope scope_;
 };
 
 }  // namespace gppm::cluster

@@ -5,33 +5,10 @@
 
 #include "common/error.hpp"
 #include "fault/plan.hpp"
-#include "obs/obs.hpp"
 
 namespace gppm::cluster {
 
 namespace {
-
-struct SupervisorObs {
-  obs::Counter& probes;
-  obs::Counter& probe_failures;
-  obs::Counter& probes_lost;
-  obs::Counter& restarts;
-  obs::Counter& budget_exhausted;
-  obs::Histogram& backoff_ms;
-};
-
-SupervisorObs& supervisor_obs() {
-  obs::Registry& reg = obs::Registry::instance();
-  static SupervisorObs instruments{
-      reg.counter("cluster.supervisor.probes"),
-      reg.counter("cluster.supervisor.probe_failures"),
-      reg.counter("cluster.supervisor.probes_lost"),
-      reg.counter("cluster.supervisor.restarts"),
-      reg.counter("cluster.supervisor.budget_exhausted"),
-      reg.histogram("cluster.supervisor.backoff_ms"),
-  };
-  return instruments;
-}
 
 std::chrono::steady_clock::duration to_steady(Duration d) {
   return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -41,7 +18,20 @@ std::chrono::steady_clock::duration to_steady(Duration d) {
 }  // namespace
 
 Supervisor::Supervisor(LocalFleet& fleet, SupervisorOptions options)
-    : fleet_(fleet), options_(options), root_rng_(options.seed) {
+    : fleet_(fleet),
+      options_(options),
+      root_rng_(options.seed),
+      scope_([this](obs::MetricsSnapshot& rows) {
+        const SupervisorStats s = stats();
+        rows.add_counter("cluster.supervisor.probes", s.probes);
+        rows.add_counter("cluster.supervisor.probe_failures",
+                         s.probe_failures);
+        rows.add_counter("cluster.supervisor.probes_lost", s.probes_lost);
+        rows.add_counter("cluster.supervisor.restarts", s.restarts);
+        rows.add_counter("cluster.supervisor.budget_exhausted",
+                         s.budget_exhausted);
+        rows.add_histogram("cluster.supervisor.backoff_ms", backoff_ms_);
+      }) {
   GPPM_CHECK(options_.failure_threshold >= 1,
              "supervisor failure_threshold must be >= 1");
   GPPM_CHECK(options_.restart_budget >= 1,
@@ -102,12 +92,10 @@ void Supervisor::supervise(std::size_t i) {
       options_.injector->should_fire(fault::kSiteSupervisorProbe)) {
     // The monitoring plane lies: the probe is lost, the node may be fine.
     probes_lost_.fetch_add(1);
-    supervisor_obs().probes_lost.add();
   } else {
     up = fleet_.probe(i);
   }
   probes_.fetch_add(1);
-  supervisor_obs().probes.add();
 
   if (up) {
     state.consecutive_failures = 0;
@@ -121,14 +109,12 @@ void Supervisor::supervise(std::size_t i) {
 
   ++state.consecutive_failures;
   probe_failures_.fetch_add(1);
-  supervisor_obs().probe_failures.add();
   if (state.consecutive_failures < options_.failure_threshold) return;
 
   if (state.restarts_used >= options_.restart_budget) {
     if (!state.flagged_unrecoverable) {
       state.flagged_unrecoverable = true;
       budget_exhausted_.fetch_add(1);
-      supervisor_obs().budget_exhausted.add();
     }
     return;
   }
@@ -143,14 +129,13 @@ void Supervisor::supervise(std::size_t i) {
   }
   ++state.restarts_used;
   restarts_.fetch_add(1);
-  supervisor_obs().restarts.add();
   state.consecutive_failures = 0;  // give the fresh engine a probe cycle
 
   // Jittered exponential backoff before any further attempt.
   const double jittered =
       state.backoff_s *
       state.rng.uniform(1.0 - options_.jitter, 1.0 + options_.jitter);
-  supervisor_obs().backoff_ms.record(jittered * 1e3);
+  backoff_ms_.record(jittered * 1e3);
   state.next_attempt = now + to_steady(Duration::seconds(jittered));
   state.backoff_s =
       std::min(state.backoff_s * 2.0, options_.max_backoff.as_seconds());

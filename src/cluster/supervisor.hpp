@@ -23,7 +23,8 @@
 //     machinery must tolerate a lying monitoring plane.
 //
 // Deterministic: all jitter comes from one seeded Rng forked per node.
-// Instrumented under cluster.supervisor.*.
+// The supervisor's obs::Scope exports its counts and a restart-backoff
+// histogram under cluster.supervisor.*.
 #pragma once
 
 #include <atomic>
@@ -35,6 +36,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "fault/injector.hpp"
+#include "obs/obs.hpp"
 
 namespace gppm::cluster {
 
@@ -107,6 +109,10 @@ class Supervisor {
   std::atomic<std::uint64_t> restarts_{0};
   std::atomic<std::uint64_t> skipped_drained_{0};
   std::atomic<std::uint64_t> budget_exhausted_{0};
+  /// Jittered wait after each restart attempt, in ms.
+  obs::Histogram backoff_ms_;
+  /// Last member: constructed after and destroyed before what it reads.
+  obs::Scope scope_;
 };
 
 }  // namespace gppm::cluster

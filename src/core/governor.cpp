@@ -28,8 +28,8 @@ DvfsGovernor::DvfsGovernor(UnifiedModel power_model, UnifiedModel perf_model,
   GPPM_CHECK(options_.switch_threshold >= 0.0, "negative switch threshold");
 }
 
-double DvfsGovernor::objective(const PairPrediction& p) const {
-  switch (options_.policy) {
+double GovernorOptions::objective(const PairPrediction& p) const {
+  switch (policy) {
     case GovernorPolicy::MinimumEnergy:
       return p.predicted_energy_joules;
     case GovernorPolicy::MinimumEdp:
@@ -37,7 +37,7 @@ double DvfsGovernor::objective(const PairPrediction& p) const {
     case GovernorPolicy::PowerCap:
       // Feasible pairs rank by time; infeasible ones sort after every
       // feasible pair, then by how far over the cap they are.
-      if (p.predicted_power_watts <= options_.power_cap.as_watts()) {
+      if (p.predicted_power_watts <= power_cap.as_watts()) {
         return p.predicted_time_seconds;
       }
       return 1e12 + p.predicted_power_watts;
@@ -45,30 +45,43 @@ double DvfsGovernor::objective(const PairPrediction& p) const {
   throw Error("unknown governor policy");
 }
 
+const PairPrediction& GovernorOptions::choose(
+    const std::vector<PairPrediction>& predictions,
+    sim::FrequencyPair current,
+    const std::function<bool(const PairPrediction&)>& feasible) const {
+  const auto admitted = [&](const PairPrediction& p) {
+    return !feasible || feasible(p);
+  };
+  const PairPrediction* best = nullptr;
+  const PairPrediction* incumbent = nullptr;
+  for (const PairPrediction& p : predictions) {
+    if (admitted(p) && (!best || objective(p) < objective(*best))) best = &p;
+    if (p.pair == current) incumbent = &p;
+  }
+  GPPM_ASSERT(best != nullptr);
+  // Hysteresis: a switch costs a P-state transition, so stay unless the
+  // best pair beats an admitted incumbent by more than the margin.
+  if (incumbent != nullptr && admitted(*incumbent) &&
+      objective(*best) >=
+          objective(*incumbent) * (1.0 - switch_threshold)) {
+    return *incumbent;
+  }
+  return *best;
+}
+
+double DvfsGovernor::objective(const PairPrediction& p) const {
+  return options_.objective(p);
+}
+
 sim::FrequencyPair DvfsGovernor::decide(
     const profiler::ProfileResult& phase_counters) {
   const std::vector<PairPrediction> predictions =
       predict_all_pairs(power_, perf_, phase_counters);
   GPPM_CHECK(!predictions.empty(), "no configurable pairs");
-
-  const PairPrediction* best = nullptr;
-  const PairPrediction* incumbent = nullptr;
-  for (const PairPrediction& p : predictions) {
-    if (!best || objective(p) < objective(*best)) best = &p;
-    if (p.pair == current_) incumbent = &p;
-  }
-  GPPM_ASSERT(best != nullptr);
-
+  const PairPrediction& chosen = options_.choose(predictions, current_);
   ++decisions_;
-  // Hysteresis: stay unless the best pair beats the incumbent by margin.
-  if (incumbent != nullptr) {
-    const double inc = objective(*incumbent);
-    if (objective(*best) >= inc * (1.0 - options_.switch_threshold)) {
-      return current_;
-    }
-  }
-  if (!(best->pair == current_)) ++switches_;
-  current_ = best->pair;
+  if (!(chosen.pair == current_)) ++switches_;
+  current_ = chosen.pair;
   return current_;
 }
 

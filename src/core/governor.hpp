@@ -9,6 +9,9 @@
 // method, milliseconds under runtime reclocking).
 #pragma once
 
+#include <functional>
+#include <vector>
+
 #include "core/optimizer.hpp"
 
 namespace gppm::core {
@@ -29,6 +32,18 @@ struct GovernorOptions {
   /// Hysteresis: switch away from the current pair only if the predicted
   /// objective improves by more than this fraction.
   double switch_threshold = 0.02;
+
+  /// Objective value of a prediction under `policy` (lower is better).
+  double objective(const PairPrediction& prediction) const;
+  /// The decision rule of both governors (DvfsGovernor and
+  /// governor::OnlineGovernor): the lowest objective among the predictions
+  /// `feasible` admits (the first on a tie; an empty `feasible` admits
+  /// all, and one must be admitted), unless the prediction at `current` is
+  /// admitted and not beaten by more than switch_threshold — then it stays.
+  const PairPrediction& choose(
+      const std::vector<PairPrediction>& predictions,
+      sim::FrequencyPair current,
+      const std::function<bool(const PairPrediction&)>& feasible = {}) const;
 };
 
 /// Phase-level DVFS governor.

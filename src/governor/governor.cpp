@@ -107,21 +107,6 @@ void OnlineGovernor::seed_bias(const std::string& phase_key,
   update_bias(bias_[{std::string(), pk}], power_ratio, time_ratio);
 }
 
-double OnlineGovernor::objective(const core::PairPrediction& p) const {
-  switch (options_.policy) {
-    case core::GovernorPolicy::MinimumEnergy:
-      return p.predicted_energy_joules;
-    case core::GovernorPolicy::MinimumEdp:
-      return p.predicted_energy_joules * p.predicted_time_seconds;
-    case core::GovernorPolicy::PowerCap:
-      if (p.predicted_power_watts <= options_.power_cap.as_watts()) {
-        return p.predicted_time_seconds;
-      }
-      return 1e12 + p.predicted_power_watts;
-  }
-  throw Error("unknown governor policy");
-}
-
 FeedbackBias OnlineGovernor::feedback_bias(const std::string& phase_key,
                                            sim::FrequencyPair pair) const {
   const auto it = bias_.find({phase_key, pair_key(pair)});
@@ -227,35 +212,20 @@ sim::FrequencyPair OnlineGovernor::decide(
     return p.predicted_time_seconds <= time_bound;
   };
 
-  const core::PairPrediction* best = nullptr;
-  const core::PairPrediction* incumbent = nullptr;
-  for (const core::PairPrediction& p : predictions) {
-    if (feasible(p) && (!best || objective(p) < objective(*best))) best = &p;
-    if (p.pair == current_) incumbent = &p;
-  }
-  GPPM_ASSERT(best != nullptr);
-
-  // Hysteresis, same discipline as core::DvfsGovernor: stay unless the
-  // best pair beats the *incumbent* by more than the threshold margin.  An
-  // incumbent that became infeasible (slowdown bound moved under it) gets
-  // no such protection.
-  const core::PairPrediction* chosen = best;
-  if (incumbent != nullptr && feasible(*incumbent)) {
-    const double inc = objective(*incumbent);
-    if (objective(*best) >= inc * (1.0 - options_.switch_threshold)) {
-      chosen = incumbent;
-    }
-  }
+  // An incumbent that became infeasible (the slowdown bound moved under
+  // it) gets no hysteresis protection.
+  const core::PairPrediction& chosen =
+      options_.choose(predictions, current_, feasible);
 
   Decision d;
-  d.pair = chosen->pair;
-  d.switched = !(chosen->pair == current_);
-  d.predicted_power_watts = chosen->predicted_power_watts;
-  d.predicted_time_seconds = chosen->predicted_time_seconds;
-  d.predicted_energy_joules = chosen->predicted_energy_joules;
+  d.pair = chosen.pair;
+  d.switched = !(chosen.pair == current_);
+  d.predicted_power_watts = chosen.predicted_power_watts;
+  d.predicted_time_seconds = chosen.predicted_time_seconds;
+  d.predicted_energy_joules = chosen.predicted_energy_joules;
   log_.push_back(d);
   if (d.switched) ++switches_;
-  current_ = chosen->pair;
+  current_ = chosen.pair;
 
   if (options_.instrument) {
     GovernorObs& o = governor_obs();

@@ -4,13 +4,13 @@
 // Per phase, the governor consumes the live counter profile, queries the
 // (online-refitted) unified models for every TABLE III (core, mem) pair,
 // and picks the operating point under its policy — energy sweet spot, EDP,
-// or fastest-under-cap — with the same hysteresis discipline as the
-// offline core::DvfsGovernor (a switch costs a VBIOS reboot; marginal
-// predicted gains are not worth one).  MinimumEnergy optionally carries a
-// max-slowdown constraint: pairs whose predicted time exceeds the bound
-// relative to the predicted default-pair time are excluded, which is how a
-// latency-sensitive deployment states "save energy, but never more than
-// X % slower".
+// or fastest-under-cap — with the offline core::DvfsGovernor's decision
+// rule, core::GovernorOptions::choose (a switch costs a VBIOS reboot;
+// marginal predicted gains are not worth one).  MinimumEnergy optionally
+// carries a max-slowdown constraint: pairs whose predicted time exceeds
+// the bound relative to the predicted default-pair time are excluded,
+// which is how a latency-sensitive deployment states "save energy, but
+// never more than X % slower".
 //
 // Every measured phase is streamed back through governor::ModelRefitter;
 // every `refit_interval` observations the coefficients are re-solved from
@@ -33,12 +33,9 @@
 
 namespace gppm::governor {
 
-struct OnlineGovernorOptions {
-  /// Policy, power cap and hysteresis threshold (same semantics as the
-  /// offline core::DvfsGovernor).
-  core::GovernorPolicy policy = core::GovernorPolicy::MinimumEnergy;
-  Power power_cap = Power::watts(200.0);
-  double switch_threshold = 0.02;
+/// Policy, power cap and hysteresis threshold come from the base, with the
+/// offline core::DvfsGovernor's semantics.
+struct OnlineGovernorOptions : core::GovernorOptions {
   /// MinimumEnergy only: exclude pairs predicted slower than this factor
   /// times the predicted default-pair time (1.15 = at most 15 % slower).
   /// 0 disables the constraint.
@@ -111,10 +108,6 @@ class OnlineGovernor {
   /// decide() calls use).
   FeedbackBias feedback_bias(const std::string& phase_key,
                              sim::FrequencyPair pair) const;
-
-  /// Objective value of a prediction under the configured policy
-  /// (identical to core::DvfsGovernor::objective).
-  double objective(const core::PairPrediction& prediction) const;
 
   sim::FrequencyPair current_pair() const { return current_; }
   int switch_count() const { return switches_; }

@@ -9,36 +9,20 @@
 
 namespace gppm::net {
 
-namespace {
-
-struct ClientObs {
-  obs::Counter& rpcs;
-  obs::Counter& reconnects;
-  obs::Counter& transport_retries;
-  obs::Counter& stale_evictions;
-  obs::Counter& bytes_tx;
-  obs::Counter& bytes_rx;
-  obs::Histogram& rtt_us;
-};
-
-ClientObs& client_obs() {
-  obs::Registry& reg = obs::Registry::instance();
-  static ClientObs instruments{
-      reg.counter("net.client.rpcs"),
-      reg.counter("net.client.reconnects"),
-      reg.counter("net.client.transport_retries"),
-      reg.counter("net.client.stale_evictions"),
-      reg.counter("net.client.bytes_tx"),
-      reg.counter("net.client.bytes_rx"),
-      reg.histogram("net.client.rtt_us"),
-  };
-  return instruments;
-}
-
-}  // namespace
-
 Client::Client(ClientOptions options, fault::FaultInjector* injector)
-    : options_(std::move(options)), injector_(injector) {
+    : options_(std::move(options)),
+      injector_(injector),
+      scope_([this](obs::MetricsSnapshot& rows) {
+        rows.add_counter("net.client.rpcs", rpcs_.load());
+        rows.add_counter("net.client.reconnects", reconnects_.load());
+        rows.add_counter("net.client.transport_retries",
+                         transport_retries_.load());
+        rows.add_counter("net.client.stale_evictions",
+                         stale_evictions_.load());
+        rows.add_counter("net.client.bytes_tx", bytes_sent_.load());
+        rows.add_counter("net.client.bytes_rx", bytes_received_.load());
+        rows.add_histogram("net.client.rtt_us", rtt_us_);
+      }) {
   if (options_.pool_size == 0) options_.pool_size = 1;
   const Rng root(options_.seed);
   pool_.reserve(options_.pool_size);
@@ -101,7 +85,6 @@ void Client::ensure_connected(Conn& conn) {
     conn.socket.close();
     conn.connected = false;
     stale_evictions_.fetch_add(1);
-    client_obs().stale_evictions.add();
   }
   conn.socket =
       fault::FaultySocket::connect(options_.host, options_.port, injector_);
@@ -109,10 +92,7 @@ void Client::ensure_connected(Conn& conn) {
   conn.decoder = FrameDecoder(options_.max_frame_payload);
   conn.connected = true;
   conn.last_used = std::chrono::steady_clock::now();
-  if (connects_.fetch_add(1) >= pool_.size()) {
-    reconnects_.fetch_add(1);
-    client_obs().reconnects.add();
-  }
+  if (connects_.fetch_add(1) >= pool_.size()) reconnects_.fetch_add(1);
 }
 
 Frame Client::attempt(Conn& conn, const std::vector<std::uint8_t>& bytes) {
@@ -120,7 +100,6 @@ Frame Client::attempt(Conn& conn, const std::vector<std::uint8_t>& bytes) {
   conn.socket.write_all(bytes.data(), bytes.size());
   frames_sent_.fetch_add(1);
   bytes_sent_.fetch_add(bytes.size());
-  client_obs().bytes_tx.add(bytes.size());
   return read_frame(conn);
 }
 
@@ -140,9 +119,21 @@ Frame Client::read_frame(Conn& conn) {
     const std::size_t n = conn.socket.read_some(buf, sizeof(buf));
     if (n == 0) throw ConnectionError("server closed the connection");
     bytes_received_.fetch_add(n);
-    client_obs().bytes_rx.add(n);
     conn.decoder.feed(buf, n);
   }
+}
+
+bool Client::back_off(Conn& conn, int retry, Duration& slept) {
+  conn.socket.close();
+  conn.connected = false;
+  transport_retries_.fetch_add(1);
+  if (retry + 1 >= std::max(1, options_.retry.max_attempts)) return false;
+  const Duration delay = backoff_delay(options_.retry, retry, conn.rng);
+  if (slept + delay > options_.retry.retry_budget) return false;
+  slept += delay;
+  std::this_thread::sleep_for(
+      std::chrono::duration<double>(delay.as_seconds()));
+  return true;
 }
 
 void Client::raise_error_reply(const Frame& frame) {
@@ -164,14 +155,12 @@ Frame Client::call(FrameType type, const std::vector<std::uint8_t>& payload,
   // Manual retry loop rather than retry_call: backoff here is real sleep
   // on a live transport, not the acquisition layer's virtual time.  The
   // delay schedule and budget semantics are the same (backoff_delay).
-  const int attempts = std::max(1, options_.retry.max_attempts);
   Duration slept;
   for (int retry = 0;; ++retry) {
     try {
       Frame frame = attempt(conn, bytes);
       rpcs_.fetch_add(1);
-      client_obs().rpcs.add();
-      client_obs().rtt_us.record(
+      rtt_us_.record(
           std::chrono::duration<double, std::micro>(
               std::chrono::steady_clock::now() - start)
               .count());
@@ -186,16 +175,7 @@ Frame Client::call(FrameType type, const std::vector<std::uint8_t>& payload,
       conn.connected = false;
       throw;
     } catch (const ConnectionError&) {
-      conn.socket.close();
-      conn.connected = false;
-      transport_retries_.fetch_add(1);
-      client_obs().transport_retries.add();
-      if (retry + 1 >= attempts) throw;
-      const Duration delay = backoff_delay(options_.retry, retry, conn.rng);
-      if (slept + delay > options_.retry.retry_budget) throw;
-      slept += delay;
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(delay.as_seconds()));
+      if (!back_off(conn, retry, slept)) throw;
     }
   }
 }
@@ -222,7 +202,6 @@ std::vector<serve::Response> Client::predict_batch(
       *pool_[next_conn_.fetch_add(1, std::memory_order_relaxed) %
              pool_.size()];
   std::lock_guard<std::mutex> lock(conn.mutex);
-  const int attempts = std::max(1, options_.retry.max_attempts);
   Duration slept;
   for (int retry = 0;; ++retry) {
     responses.clear();
@@ -231,7 +210,6 @@ std::vector<serve::Response> Client::predict_batch(
       conn.socket.write_all(bytes.data(), bytes.size());
       frames_sent_.fetch_add(requests.size());
       bytes_sent_.fetch_add(bytes.size());
-      client_obs().bytes_tx.add(bytes.size());
       for (std::size_t i = 0; i < requests.size(); ++i) {
         Frame frame = read_frame(conn);
         if (frame.header.type == FrameType::ErrorReply) {
@@ -254,8 +232,7 @@ std::vector<serve::Response> Client::predict_batch(
         responses.push_back(std::move(decoded.response));
       }
       rpcs_.fetch_add(requests.size());
-      client_obs().rpcs.add(requests.size());
-      client_obs().rtt_us.record(
+      rtt_us_.record(
           std::chrono::duration<double, std::micro>(
               std::chrono::steady_clock::now() - start)
               .count());
@@ -265,16 +242,7 @@ std::vector<serve::Response> Client::predict_batch(
       conn.connected = false;
       throw;
     } catch (const ConnectionError&) {
-      conn.socket.close();
-      conn.connected = false;
-      transport_retries_.fetch_add(1);
-      client_obs().transport_retries.add();
-      if (retry + 1 >= attempts) throw;
-      const Duration delay = backoff_delay(options_.retry, retry, conn.rng);
-      if (slept + delay > options_.retry.retry_budget) throw;
-      slept += delay;
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(delay.as_seconds()));
+      if (!back_off(conn, retry, slept)) throw;
     }
   }
 }

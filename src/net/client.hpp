@@ -19,9 +19,9 @@
 //     it comes back as a normal serve::Response with a non-Ok status,
 //     exactly as the in-process PredictionServer answers it.
 //
-// Instrumented under net.client.*: RPC counter, reconnects, transport
-// errors, bytes/frames in both directions, an RTT histogram, and an
-// ObsSpan per RPC.
+// The client's obs::Scope exports its own counts under net.client.*: RPCs,
+// reconnects, transport retries, stale evictions, bytes in both
+// directions and an RTT histogram.  Each RPC also opens an ObsSpan.
 #pragma once
 
 #include <atomic>
@@ -37,6 +37,7 @@
 #include "net/faulty_socket.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
+#include "obs/obs.hpp"
 
 namespace gppm::net {
 
@@ -163,6 +164,10 @@ class Client {
   /// aborted exchange, or readable while no response is owed (EOF after a
   /// server restart, or stray bytes).
   bool is_stale(Conn& conn) const;
+  /// After a ConnectionError on attempt `retry` (0-based): drop the
+  /// connection, count the retry and sleep its backoff.  False once the
+  /// attempts or the retry budget are spent (the caller rethrows).
+  bool back_off(Conn& conn, int retry, Duration& slept);
   /// ErrorReply handling shared by all RPCs: decode and throw RpcError.
   [[noreturn]] static void raise_error_reply(const Frame& frame);
 
@@ -181,6 +186,10 @@ class Client {
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
+  /// Round-trip time per successful RPC (or pipelined batch), in us.
+  obs::Histogram rtt_us_;
+  /// Last member: constructed after and destroyed before what it reads.
+  obs::Scope scope_;
 };
 
 }  // namespace gppm::net

@@ -7,36 +7,6 @@
 
 namespace gppm::net {
 
-namespace {
-
-/// Registry lookups once per process; every hot-path record after that is
-/// one relaxed atomic op on a cached reference.
-struct ServerObs {
-  obs::Counter& bytes_rx;
-  obs::Counter& bytes_tx;
-  obs::Counter& frames_rx;
-  obs::Counter& frames_tx;
-  obs::Counter& connections;
-  obs::Counter& protocol_errors;
-  obs::Histogram& write_queue_depth;
-};
-
-ServerObs& server_obs() {
-  obs::Registry& reg = obs::Registry::instance();
-  static ServerObs instruments{
-      reg.counter("net.server.bytes_rx"),
-      reg.counter("net.server.bytes_tx"),
-      reg.counter("net.server.frames_rx"),
-      reg.counter("net.server.frames_tx"),
-      reg.counter("net.server.connections"),
-      reg.counter("net.server.protocol_errors"),
-      reg.histogram("net.server.write_queue_depth"),
-  };
-  return instruments;
-}
-
-}  // namespace
-
 ServeBridge bridge_prediction_server(serve::PredictionServer& backend) {
   ServeBridge bridge;
   bridge.submit = [&backend](serve::Request request) {
@@ -66,7 +36,19 @@ Server::Server(ServeBridge bridge, ServerOptions options,
     : bridge_(std::move(bridge)),
       options_(std::move(options)),
       injector_(injector),
-      listener_(options_.bind_address, options_.port, options_.backlog) {
+      listener_(options_.bind_address, options_.port, options_.backlog),
+      scope_([this](obs::MetricsSnapshot& rows) {
+        rows.add_counter("net.server.bytes_rx", bytes_received_.load());
+        rows.add_counter("net.server.bytes_tx", bytes_sent_.load());
+        rows.add_counter("net.server.frames_rx", frames_received_.load());
+        rows.add_counter("net.server.frames_tx", frames_sent_.load());
+        rows.add_counter("net.server.connections",
+                         connections_accepted_.load());
+        rows.add_counter("net.server.protocol_errors",
+                         protocol_errors_.load());
+        rows.add_histogram("net.server.write_queue_depth",
+                           write_queue_depth_);
+      }) {
   GPPM_CHECK(bridge_.submit && bridge_.loaded_models && bridge_.health,
              "ServeBridge requires submit, loaded_models and health");
   acceptor_ = std::thread([this] { accept_loop(); });
@@ -171,7 +153,6 @@ void Server::accept_loop() {
     }
 
     connections_accepted_.fetch_add(1);
-    server_obs().connections.add();
     auto conn = std::make_shared<Connection>(options_.write_queue_capacity);
     conn->socket = fault::FaultySocket(std::move(raw), injector_);
     {
@@ -195,7 +176,6 @@ void Server::reader_loop(Connection& conn) {
           conn.socket.read_some(conn.read_buf.data(), conn.read_buf.size());
       if (n == 0) break;  // orderly EOF
       bytes_received_.fetch_add(n);
-      server_obs().bytes_rx.add(n);
       decoder.feed(conn.read_buf.data(), n);
       // next_view() surfaces each frame's payload as a view into the
       // decoder's buffer; dispatch decodes straight from it, so request
@@ -203,7 +183,6 @@ void Server::reader_loop(Connection& conn) {
       // path.  The views die before the next feed(), as required.
       while (std::optional<FrameView> frame = decoder.next_view()) {
         frames_received_.fetch_add(1);
-        server_obs().frames_rx.add();
         if (!dispatch(conn, *frame)) {
           open = false;
           break;
@@ -212,7 +191,6 @@ void Server::reader_loop(Connection& conn) {
     } catch (const ProtocolError& e) {
       // Bad bytes are not retryable: tell the peer why, then drop it.
       protocol_errors_.fetch_add(1);
-      server_obs().protocol_errors.add();
       PendingReply reply;
       reply.type = FrameType::ErrorReply;
       reply.payload = encode_wire_error({WireErrorCode::Malformed, e.what()});
@@ -278,8 +256,7 @@ bool Server::dispatch(Connection& conn, const FrameView& frame) {
       throw ProtocolError("unexpected " + to_string(frame.header.type) +
                           " frame on the server side");
   }
-  server_obs().write_queue_depth.record(
-      static_cast<double>(conn.replies.size()));
+  write_queue_depth_.record(static_cast<double>(conn.replies.size()));
   // push() blocking while the write queue is full is the per-connection
   // back-pressure: a peer that stops reading stalls only its own reader.
   return conn.replies.push(std::move(reply));
@@ -325,9 +302,7 @@ void Server::writer_loop(Connection& conn) {
       continue;
     }
     frames_sent_.fetch_add(batch.size());
-    server_obs().frames_tx.add(batch.size());
     bytes_sent_.fetch_add(out.size());
-    server_obs().bytes_tx.add(out.size());
   }
   // Close first so a reader blocked in push() wakes; shut the socket so
   // the peer sees EOF and a reader blocked in poll/read wakes too.

@@ -27,9 +27,9 @@
 // connection socket down, which unblocks all threads, then joins them.
 //
 // All socket I/O runs through fault::FaultySocket, so the chaos suite can
-// inject short reads and mid-frame resets server-side too; gppm::obs
-// counters (net.server.*) account bytes, frames, connections and protocol
-// errors, and a histogram tracks write-queue depth.
+// inject short reads and mid-frame resets server-side too.  The server's
+// obs::Scope exports its own counts under net.server.* (bytes, frames,
+// connections, protocol errors) plus a write-queue-depth histogram.
 #pragma once
 
 #include <atomic>
@@ -49,6 +49,7 @@
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
+#include "obs/obs.hpp"
 #include "serve/queue.hpp"
 #include "serve/server.hpp"
 
@@ -72,8 +73,8 @@ struct ServerOptions {
   int poll_interval_ms = 100;
 };
 
-/// Point-in-time transport counters (process-wide obs counters mirror
-/// these under net.server.*).
+/// Point-in-time transport counters, read from the server's own atomics
+/// (its obs::Scope exports the same counts under net.server.*).
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_refused = 0;
@@ -190,6 +191,10 @@ class Server {
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> requests_bridged_{0};
+  /// Reply-queue depth seen by each dispatched frame.
+  obs::Histogram write_queue_depth_;
+  /// Last member: constructed after and destroyed before what it reads.
+  obs::Scope scope_;
 };
 
 }  // namespace gppm::net

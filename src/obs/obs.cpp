@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 namespace gppm::obs {
 
@@ -106,7 +107,53 @@ void Histogram::reset() {
 // ---------------------------------------------------------------------------
 // Registry.
 
+namespace {
+
+/// Sort each kind's rows by name and sum the rows of one name into one.
+void fold(MetricsSnapshot& s) {
+  const auto by_name = [](const auto& a, const auto& b) {
+    return a.name < b.name;
+  };
+  const auto fold_kind = [&](auto& rows, auto add) {
+    std::stable_sort(rows.begin(), rows.end(), by_name);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (kept > 0 && rows[kept - 1].name == rows[i].name) {
+        add(rows[kept - 1], rows[i]);
+      } else {
+        if (kept != i) rows[kept] = std::move(rows[i]);
+        ++kept;
+      }
+    }
+    rows.resize(kept);
+  };
+  fold_kind(s.counters, [](CounterRow& a, const CounterRow& b) {
+    a.value += b.value;
+  });
+  fold_kind(s.gauges, [](GaugeRow& a, const GaugeRow& b) {
+    a.value += b.value;
+    a.max += b.max;
+  });
+  fold_kind(s.histograms, [](HistogramRow& a, const HistogramRow& b) {
+    for (std::size_t i = 0; i < a.bin_counts.size(); ++i) {
+      a.bin_counts[i] += b.bin_counts[i];
+    }
+    a.count += b.count;
+    a.sum += b.sum;
+  });
+}
+
+}  // namespace
+
 struct Registry::Impl {
+  // Lock order: scope_mu before mu.  snapshot() holds scope_mu while it
+  // calls the scopes' readers, so a Scope's destructor waits for any
+  // snapshot still reading its component.
+  mutable std::mutex scope_mu;
+  Scope* first = nullptr;  // live scopes in registration order, linked
+  Scope* last = nullptr;   // through Scope::next_: no allocation
+  MetricsSnapshot retired;  // final rows of destroyed scopes, folded
+
   mutable std::mutex mu;
   // Node-based maps: instrument addresses stay stable across registrations,
   // so call sites can cache references forever.
@@ -130,7 +177,7 @@ Counter& Registry::counter(const std::string& name) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   auto& slot = im.counters[name];
-  if (!slot) slot.reset(new Counter());
+  if (!slot) slot.reset(new Counter(Counter::RegistryOwned{}));
   return *slot;
 }
 
@@ -138,7 +185,7 @@ Gauge& Registry::gauge(const std::string& name) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   auto& slot = im.gauges[name];
-  if (!slot) slot.reset(new Gauge());
+  if (!slot) slot.reset(new Gauge(Gauge::RegistryOwned{}));
   return *slot;
 }
 
@@ -152,29 +199,46 @@ Histogram& Registry::histogram(const std::string& name) {
 
 MetricsSnapshot Registry::snapshot() const {
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  MetricsSnapshot s;
-  s.counters.reserve(im.counters.size());
-  for (const auto& [name, c] : im.counters) {
-    s.counters.push_back({name, c->value()});
+  std::lock_guard<std::mutex> scope_lock(im.scope_mu);
+  MetricsSnapshot rows = im.retired;
+  {
+    std::lock_guard<std::mutex> lock(im.mu);
+    for (const auto& [name, c] : im.counters) {
+      rows.add_counter(name, c->value());
+    }
+    for (const auto& [name, g] : im.gauges) rows.add_gauge(name, *g);
+    for (const auto& [name, h] : im.histograms) rows.add_histogram(name, *h);
   }
-  s.gauges.reserve(im.gauges.size());
-  for (const auto& [name, g] : im.gauges) {
-    s.gauges.push_back({name, g->value(), g->max()});
-  }
-  s.histograms.reserve(im.histograms.size());
-  for (const auto& [name, h] : im.histograms) {
-    s.histograms.push_back({name, h->bin_counts(), h->count(), h->sum()});
-  }
-  return s;
+  for (const Scope* s = im.first; s != nullptr; s = s->next_) s->read_(rows);
+  fold(rows);
+  return rows;
 }
 
 void Registry::reset_values() {
   Impl& im = impl();
+  std::lock_guard<std::mutex> scope_lock(im.scope_mu);
+  im.retired = MetricsSnapshot{};
   std::lock_guard<std::mutex> lock(im.mu);
   for (auto& [name, c] : im.counters) c->reset();
   for (auto& [name, g] : im.gauges) g->reset();
   for (auto& [name, h] : im.histograms) h->reset();
+}
+
+Scope::Scope(Reader read) : read_(std::move(read)) {
+  Registry::Impl& im = Registry::instance().impl();
+  std::lock_guard<std::mutex> lock(im.scope_mu);
+  prev_ = std::exchange(im.last, this);
+  (prev_ != nullptr ? prev_->next_ : im.first) = this;
+}
+
+Scope::~Scope() {
+  Registry::Impl& im = Registry::instance().impl();
+  std::lock_guard<std::mutex> lock(im.scope_mu);
+  (prev_ != nullptr ? prev_->next_ : im.first) = next_;
+  (next_ != nullptr ? next_->prev_ : im.last) = prev_;
+  if (!enabled()) return;  // registry totals follow the enable flag
+  read_(im.retired);
+  fold(im.retired);
 }
 
 bool MetricsSnapshot::has_activity(const std::string& prefix) const {

@@ -9,7 +9,10 @@
 //   * a metrics registry — named Counters, Gauges and log-binned
 //     Histograms.  Registration takes a mutex once; the returned instrument
 //     reference is stable for the process lifetime, and every hot-path
-//     record is a single relaxed atomic op.
+//     record is a single relaxed atomic op;
+//   * per-instance scopes — a component that keeps its own counts
+//     registers one obs::Scope for its lifetime, and snapshot() reads
+//     those counts as rows, so each event is counted once.
 //   * span-based tracing — RAII ObsSpan scoped timers with thread-aware
 //     nesting (per-thread depth, dense thread ids) collected into a bounded
 //     in-memory buffer and exportable as Chrome trace_event JSON
@@ -28,7 +31,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace gppm::obs {
@@ -48,33 +53,42 @@ inline bool enabled() {
 void set_enabled(bool on);
 
 /// Monotonic event counter.  add() is lock-free (one relaxed fetch_add).
+/// A Counter you construct counts always; one handed out by the Registry
+/// counts only while obs is enabled (the same rule as Histogram).
 class Counter {
  public:
+  Counter() = default;
+
   void add(std::uint64_t n = 1) {
-    if (!enabled()) return;
+    if (gated_ && !enabled()) return;
     value_.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
   friend class Registry;
-  Counter() = default;
+  struct RegistryOwned {};
+  explicit Counter(RegistryOwned) : gated_(true) {}
   void reset() { value_.store(0, std::memory_order_relaxed); }
+  const bool gated_ = false;  // true: counts only while obs is enabled
   std::atomic<std::uint64_t> value_{0};
 };
 
 /// Instantaneous level with a high-water mark (queue depths, busy workers).
-/// set()/add() are lock-free.
+/// set()/add() are lock-free.  Constructed: records always; handed out by
+/// the Registry: records only while obs is enabled.
 class Gauge {
  public:
+  Gauge() = default;
+
   void set(std::int64_t v) {
-    if (!enabled()) return;
+    if (gated_ && !enabled()) return;
     value_.store(v, std::memory_order_relaxed);
     raise_max(v);
   }
   /// Adjust the level by `delta` (e.g. +1/-1 around a busy section).
   void add(std::int64_t delta) {
-    if (!enabled()) return;
+    if (gated_ && !enabled()) return;
     const std::int64_t v =
         value_.fetch_add(delta, std::memory_order_relaxed) + delta;
     raise_max(v);
@@ -84,7 +98,8 @@ class Gauge {
 
  private:
   friend class Registry;
-  Gauge() = default;
+  struct RegistryOwned {};
+  explicit Gauge(RegistryOwned) : gated_(true) {}
   void raise_max(std::int64_t v) {
     std::int64_t seen = max_.load(std::memory_order_relaxed);
     while (v > seen &&
@@ -95,6 +110,7 @@ class Gauge {
     value_.store(0, std::memory_order_relaxed);
     max_.store(0, std::memory_order_relaxed);
   }
+  const bool gated_ = false;  // true: records only while obs is enabled
   std::atomic<std::int64_t> value_{0};
   std::atomic<std::int64_t> max_{0};
 };
@@ -158,15 +174,55 @@ struct HistogramRow {
   double sum = 0.0;
 };
 
-/// A point-in-time copy of every registered instrument, sorted by name.
+/// A point-in-time copy of every registered instrument and every scope's
+/// rows, one row per (kind, name), sorted by name.  A Scope's reader fills
+/// one of these with the add_*() calls.
 struct MetricsSnapshot {
   std::vector<CounterRow> counters;
   std::vector<GaugeRow> gauges;
   std::vector<HistogramRow> histograms;
 
+  void add_counter(std::string name, std::uint64_t value) {
+    counters.push_back({std::move(name), value});
+  }
+  void add_gauge(std::string name, std::int64_t value, std::int64_t max) {
+    gauges.push_back({std::move(name), value, max});
+  }
+  void add_gauge(std::string name, const Gauge& g) {
+    add_gauge(std::move(name), g.value(), g.max());
+  }
+  void add_histogram(std::string name, const Histogram& h) {
+    histograms.push_back({std::move(name), h.bin_counts(), h.count(), h.sum()});
+  }
+
   /// True when any instrument whose name starts with `prefix` has recorded
   /// at least one event (counter/histogram count > 0, or gauge max > 0).
   bool has_activity(const std::string& prefix) const;
+};
+
+/// One component's counts in the registry for the component's lifetime,
+/// one entry per live instance.  Registry::snapshot() calls `read` and
+/// adds each row it appends into the process-wide row of the same name
+/// and kind (counters, gauge levels and maxima sum; histograms merge bin
+/// by bin).  With obs enabled, the destructor folds a last read into the
+/// registry, so totals outlive the component; with obs off, joining and
+/// leaving the registry allocate nothing.  `read` runs under the registry's
+/// scope lock on the snapshotting thread: it takes only leaf locks and
+/// never calls the Registry.  Make the Scope the component's last member,
+/// constructed after and destroyed before what `read` reads.
+class Scope {
+ public:
+  using Reader = std::function<void(MetricsSnapshot& rows)>;
+  explicit Scope(Reader read);
+  ~Scope();
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
+
+ private:
+  friend class Registry;
+  Reader read_;
+  Scope* prev_ = nullptr;  // neighbours in the registry's list of live
+  Scope* next_ = nullptr;  // scopes, under its scope lock
 };
 
 /// Process-wide instrument registry.  counter()/gauge()/histogram() find or
@@ -180,12 +236,17 @@ class Registry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
+  /// Registry instruments, the folded rows of scopes destroyed while obs
+  /// was enabled, and every live scope's rows, summed per (kind, name).
   MetricsSnapshot snapshot() const;
 
-  /// Zero every instrument (registrations and cached references survive).
+  /// Zero every instrument (registrations and cached references survive)
+  /// and drop the folded rows of destroyed scopes.  Live scopes report
+  /// their components' own counts, which this does not touch.
   void reset_values();
 
  private:
+  friend class Scope;
   Registry() = default;
   struct Impl;
   Impl& impl() const;

@@ -4,38 +4,11 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "obs/obs.hpp"
 
 namespace gppm::serve {
 
-namespace {
-
-struct AdmissionObs {
-  obs::Counter& admitted;
-  obs::Counter& shed_limit;
-  obs::Counter& shed_deadline;
-  obs::Counter& backoffs;
-  obs::Gauge& limit;
-  obs::Gauge& in_flight;
-};
-
-AdmissionObs& admission_obs() {
-  obs::Registry& reg = obs::Registry::instance();
-  static AdmissionObs instruments{
-      reg.counter("serve.admission.admitted"),
-      reg.counter("serve.admission.shed_limit"),
-      reg.counter("serve.admission.shed_deadline"),
-      reg.counter("serve.admission.backoffs"),
-      reg.gauge("serve.admission.limit"),
-      reg.gauge("serve.admission.in_flight"),
-  };
-  return instruments;
-}
-
-}  // namespace
-
 AdmissionController::AdmissionController(AdmissionOptions options)
-    : options_(options), limit_(options.initial_limit) {
+    : options_(options) {
   // Every comparison below is written so NaN fails it: NaN limits would
   // otherwise slip through std::clamp and pin the AIMD window open (every
   // `in_flight + 1 > limit` check is false against NaN — unbounded
@@ -55,39 +28,39 @@ AdmissionController::AdmissionController(AdmissionOptions options)
   GPPM_CHECK(std::isfinite(options_.deadline_headroom) &&
                  options_.deadline_headroom > 0.0,
              "admission deadline_headroom must be finite and > 0");
-  limit_ = std::clamp(limit_, options_.min_limit, options_.max_limit);
+  set_limit_locked(std::clamp(options_.initial_limit, options_.min_limit,
+                              options_.max_limit));
+}
+
+void AdmissionController::set_limit_locked(double limit) {
+  limit_ = limit;
+  limit_gauge_.set(static_cast<std::int64_t>(limit));
 }
 
 bool AdmissionController::try_acquire(Duration deadline) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (static_cast<double>(in_flight_) + 1.0 > limit_) {
+  if (static_cast<double>(in_flight_.value()) + 1.0 > limit_) {
     ++stats_.shed_limit;
-    if (options_.instrument) admission_obs().shed_limit.add();
     return false;
   }
   if (deadline.as_seconds() > 0.0 && ewma_s_ > 0.0) {
     // Estimated completion time for a request entering now: the smoothed
     // service latency inflated by how full the window already is.
     const double estimate =
-        ewma_s_ * (1.0 + static_cast<double>(in_flight_) / limit_);
+        ewma_s_ *
+        (1.0 + static_cast<double>(in_flight_.value()) / limit_);
     if (estimate > deadline.as_seconds() * options_.deadline_headroom) {
       ++stats_.shed_deadline;
-      if (options_.instrument) admission_obs().shed_deadline.add();
       return false;
     }
   }
-  ++in_flight_;
+  in_flight_.add(1);
   ++stats_.admitted;
-  if (options_.instrument) {
-    admission_obs().admitted.add();
-    admission_obs().in_flight.add(1);
-  }
   return true;
 }
 
 void AdmissionController::release_locked() {
-  if (in_flight_ > 0) --in_flight_;
-  if (options_.instrument) admission_obs().in_flight.add(-1);
+  if (in_flight_.value() > 0) in_flight_.add(-1);
 }
 
 void AdmissionController::observe_locked(double seconds) {
@@ -104,10 +77,8 @@ void AdmissionController::release_success(Duration latency) {
   observe_locked(latency.as_seconds());
   // Additive increase: +1 per limit-sized window of successes, so the
   // limit climbs one unit per "round trip" like a congestion window.
-  limit_ = std::min(options_.max_limit, limit_ + 1.0 / std::max(limit_, 1.0));
-  if (options_.instrument) {
-    admission_obs().limit.set(static_cast<std::int64_t>(limit_));
-  }
+  set_limit_locked(
+      std::min(options_.max_limit, limit_ + 1.0 / std::max(limit_, 1.0)));
 }
 
 void AdmissionController::release_congestion(Duration latency) {
@@ -124,12 +95,8 @@ void AdmissionController::release_congestion(Duration latency) {
     return;
   }
   last_decrease_ = now;
-  limit_ = std::max(options_.min_limit, limit_ * options_.decrease);
+  set_limit_locked(std::max(options_.min_limit, limit_ * options_.decrease));
   ++stats_.backoffs;
-  if (options_.instrument) {
-    admission_obs().backoffs.add();
-    admission_obs().limit.set(static_cast<std::int64_t>(limit_));
-  }
 }
 
 void AdmissionController::release_error() {
@@ -144,16 +111,26 @@ double AdmissionController::limit() const {
 
 std::int64_t AdmissionController::in_flight() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return in_flight_;
+  return in_flight_.value();
 }
 
 AdmissionStats AdmissionController::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   AdmissionStats s = stats_;
   s.limit = limit_;
-  s.in_flight = in_flight_;
+  s.in_flight = in_flight_.value();
   s.ewma_latency_s = ewma_s_;
   return s;
+}
+
+void AdmissionController::add_rows(obs::MetricsSnapshot& rows) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  rows.add_counter("serve.admission.admitted", stats_.admitted);
+  rows.add_counter("serve.admission.shed_limit", stats_.shed_limit);
+  rows.add_counter("serve.admission.shed_deadline", stats_.shed_deadline);
+  rows.add_counter("serve.admission.backoffs", stats_.backoffs);
+  rows.add_gauge("serve.admission.limit", limit_gauge_);
+  rows.add_gauge("serve.admission.in_flight", in_flight_);
 }
 
 }  // namespace gppm::serve

@@ -31,7 +31,8 @@
 // before a typed error (docs/ROBUSTNESS.md).
 //
 // Thread-safe (one internal mutex; calls are a few arithmetic ops).
-// Instrumented under serve.admission.* when constructed with obs=true.
+// add_rows() exports the controller's counts under serve.admission.*; the
+// cluster Router's obs::Scope calls it for the controller it owns.
 #pragma once
 
 #include <chrono>
@@ -39,6 +40,7 @@
 #include <mutex>
 
 #include "common/units.hpp"
+#include "obs/obs.hpp"
 
 namespace gppm::serve {
 
@@ -60,8 +62,6 @@ struct AdmissionOptions {
   /// Shed when estimated completion time exceeds deadline * headroom
   /// (headroom < 1 sheds earlier, > 1 is more permissive).
   double deadline_headroom = 1.0;
-  /// Export serve.admission.* metrics.
-  bool instrument = true;
 };
 
 struct AdmissionStats {
@@ -98,17 +98,23 @@ class AdmissionController {
   double limit() const;
   std::int64_t in_flight() const;
   AdmissionStats stats() const;
+  /// Append the serve.admission.* rows: admitted/shed/backoff counters,
+  /// and the limit and in-flight gauges with their high-water marks.
+  void add_rows(obs::MetricsSnapshot& rows) const;
 
  private:
   using Clock = std::chrono::steady_clock;
 
   void release_locked();
   void observe_locked(double seconds);
+  void set_limit_locked(double limit);
 
   AdmissionOptions options_;
   mutable std::mutex mutex_;
-  double limit_;
-  std::int64_t in_flight_ = 0;
+  double limit_ = 0.0;
+  /// The limit truncated to whole slots, for its high-water mark.
+  obs::Gauge limit_gauge_;
+  obs::Gauge in_flight_;
   double ewma_s_ = 0.0;
   Clock::time_point last_decrease_{};
   AdmissionStats stats_;

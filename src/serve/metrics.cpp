@@ -3,40 +3,8 @@
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/str.hpp"
-#include "obs/obs.hpp"
 
 namespace gppm::serve {
-
-namespace {
-
-// Shared-registry instruments the recorders below mirror into.  The
-// collector's own histograms and cells stay authoritative — the obs bridge
-// adds one enabled-flag branch per record and nothing else, so the serve
-// table and CSV output are byte-identical with obs on or off.
-struct ServeInstruments {
-  obs::Counter& requests;
-  obs::Counter& batches;
-  obs::Counter& rejected;
-  obs::Counter& shed;
-  obs::Counter& deadline_expired;
-  obs::Counter& errors;
-  obs::Histogram& latency_us;
-
-  static ServeInstruments& instance() {
-    static ServeInstruments* in = new ServeInstruments{
-        obs::Registry::instance().counter("serve.requests"),
-        obs::Registry::instance().counter("serve.batches"),
-        obs::Registry::instance().counter("serve.rejected"),
-        obs::Registry::instance().counter("serve.shed"),
-        obs::Registry::instance().counter("serve.deadline_expired"),
-        obs::Registry::instance().counter("serve.errors"),
-        obs::Registry::instance().histogram("serve.latency_us"),
-    };
-    return *in;
-  }
-};
-
-}  // namespace
 
 std::string to_string(RequestKind kind) {
   switch (kind) {
@@ -61,9 +29,6 @@ std::string to_string(ResponseStatus status) {
 void MetricsCollector::record_request(RequestKind kind,
                                       double latency_seconds) {
   latency_[static_cast<std::size_t>(kind)].record(latency_seconds);
-  ServeInstruments& ins = ServeInstruments::instance();
-  ins.requests.add();
-  ins.latency_us.record(latency_seconds * 1e6);
 }
 
 void MetricsCollector::record_batch(std::size_t batch_size) {
@@ -78,66 +43,40 @@ void MetricsCollector::record_batch(std::size_t batch_size) {
          !max_batch_.compare_exchange_weak(seen, batch_size,
                                            std::memory_order_relaxed)) {
   }
-  ServeInstruments::instance().batches.add();
 }
 
 void MetricsCollector::record_rejected() {
   rejected_.fetch_add(1, std::memory_order_relaxed);
-  ServeInstruments::instance().rejected.add();
 }
 
 void MetricsCollector::record_shed() {
   shed_.fetch_add(1, std::memory_order_relaxed);
-  ServeInstruments::instance().shed.add();
 }
 
 void MetricsCollector::record_deadline_expired() {
   deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-  ServeInstruments::instance().deadline_expired.add();
 }
 
 void MetricsCollector::record_error_response() {
   error_responses_.fetch_add(1, std::memory_order_relaxed);
-  ServeInstruments::instance().errors.add();
 }
 
 void MetricsCollector::record_tenant_accepted(std::uint32_t tenant) {
   if (tenant == 0) return;
-  {
-    std::lock_guard<std::mutex> lock(tenant_mutex_);
-    ++tenants_[tenant].accepted;
-  }
-  if (obs::enabled()) {
-    obs::Registry::instance()
-        .counter("serve.tenant." + std::to_string(tenant) + ".accepted")
-        .add();
-  }
+  std::lock_guard<std::mutex> lock(tenant_mutex_);
+  ++tenants_[tenant].accepted;
 }
 
 void MetricsCollector::record_tenant_shed(std::uint32_t tenant) {
   if (tenant == 0) return;
-  {
-    std::lock_guard<std::mutex> lock(tenant_mutex_);
-    ++tenants_[tenant].shed;
-  }
-  if (obs::enabled()) {
-    obs::Registry::instance()
-        .counter("serve.tenant." + std::to_string(tenant) + ".shed")
-        .add();
-  }
+  std::lock_guard<std::mutex> lock(tenant_mutex_);
+  ++tenants_[tenant].shed;
 }
 
 void MetricsCollector::record_tenant_cache_hit(std::uint32_t tenant) {
   if (tenant == 0) return;
-  {
-    std::lock_guard<std::mutex> lock(tenant_mutex_);
-    ++tenants_[tenant].cache_hits;
-  }
-  if (obs::enabled()) {
-    obs::Registry::instance()
-        .counter("serve.tenant." + std::to_string(tenant) + ".cache_hit")
-        .add();
-  }
+  std::lock_guard<std::mutex> lock(tenant_mutex_);
+  ++tenants_[tenant].cache_hits;
 }
 
 ServerMetrics MetricsCollector::snapshot() const {
@@ -259,24 +198,36 @@ void ServerMetrics::write_csv(std::ostream& out) const {
   }
 }
 
-void publish_to_obs(const ServerMetrics& metrics) {
-  if (!obs::enabled()) return;
-  obs::Registry& reg = obs::Registry::instance();
-  const auto as_i64 = [](std::uint64_t v) {
-    return static_cast<std::int64_t>(v);
-  };
-  reg.gauge("serve.queue_high_water")
-      .set(as_i64(metrics.queue_high_water));
-  reg.gauge("serve.max_batch").set(as_i64(metrics.max_batch_size));
-  reg.gauge("serve.cache_entries").set(as_i64(metrics.cache.entries));
-  reg.gauge("serve.cache_hits").set(as_i64(metrics.cache.hits));
-  reg.gauge("serve.cache_misses").set(as_i64(metrics.cache.misses));
-  reg.gauge("serve.cache_evictions").set(as_i64(metrics.cache.evictions));
-  for (const TenantStats& t : metrics.tenants) {
+void MetricsCollector::add_rows(const ServerMetrics& m,
+                                obs::MetricsSnapshot& rows) const {
+  rows.add_counter("serve.requests", m.total_requests);
+  rows.add_counter("serve.batches", m.batches);
+  rows.add_counter("serve.rejected", m.rejected_requests);
+  rows.add_counter("serve.shed", m.shed_requests);
+  rows.add_counter("serve.deadline_expired", m.deadline_expired);
+  rows.add_counter("serve.errors", m.error_responses);
+  for (std::size_t e = 0; e < kRequestKindCount; ++e) {
+    rows.add_histogram(
+        "serve.latency_s." + to_string(static_cast<RequestKind>(e)),
+        latency_[e]);
+  }
+  rows.add_counter("serve.cache_hits", m.cache.hits);
+  rows.add_counter("serve.cache_misses", m.cache.misses);
+  rows.add_counter("serve.cache_evictions", m.cache.evictions);
+  // Each of these only grows (the server never clears its cache), so its
+  // level is its own high-water mark.
+  for (const auto& [name, level] :
+       {std::pair{"serve.max_batch", m.max_batch_size},
+        std::pair{"serve.queue_high_water", m.queue_high_water},
+        std::pair{"serve.cache_entries", m.cache.entries}}) {
+    rows.add_gauge(name, static_cast<std::int64_t>(level),
+                   static_cast<std::int64_t>(level));
+  }
+  for (const TenantStats& t : m.tenants) {
     const std::string prefix = "serve.tenant." + std::to_string(t.tenant);
-    reg.gauge(prefix + ".accepted").set(as_i64(t.accepted));
-    reg.gauge(prefix + ".shed").set(as_i64(t.shed));
-    reg.gauge(prefix + ".cache_hit").set(as_i64(t.cache_hits));
+    rows.add_counter(prefix + ".accepted", t.accepted);
+    rows.add_counter(prefix + ".shed", t.shed);
+    rows.add_counter(prefix + ".cache_hit", t.cache_hits);
   }
 }
 

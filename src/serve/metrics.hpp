@@ -4,7 +4,8 @@
 // Workers record into lock-free atomic histograms (one obs::Histogram of
 // latencies per endpoint, exact batch-size bins); snapshot() materializes
 // a plain ServerMetrics value that renders as the standard ASCII table and
-// as CSV, the same two formats every reproduction bench emits.
+// as CSV, the same two formats every reproduction bench emits.  add_rows()
+// reads the same counts as obs rows for the PredictionServer's scope.
 #pragma once
 
 #include <array>
@@ -71,12 +72,6 @@ struct ServerMetrics {
   void write_csv(std::ostream& out) const;
 };
 
-/// Bridge a snapshot onto the shared gppm::obs registry (serve.* gauges:
-/// queue high-water, batches, cache hits/misses/evictions, shed/rejected
-/// totals).  No-op while obs is disabled; the snapshot itself and its
-/// table/CSV renderings are untouched either way.
-void publish_to_obs(const ServerMetrics& metrics);
-
 /// Thread-safe recorder the worker pool writes into.
 class MetricsCollector {
  public:
@@ -96,6 +91,13 @@ class MetricsCollector {
   /// Percentiles are obs::Histogram::quantile(): the upper edge of the
   /// 10^0.1-wide bin holding the rank.
   ServerMetrics snapshot() const;
+
+  /// Append `m` (this collector's snapshot, with the server's queue and
+  /// cache filled in) as obs rows: the serve.* and serve.cache_* counters,
+  /// the serve.max_batch/queue_high_water/cache_entries gauges and the
+  /// serve.tenant.<id>.accepted/shed/cache_hit counters, plus one latency
+  /// histogram per endpoint in seconds (serve.latency_s.<endpoint>).
+  void add_rows(const ServerMetrics& m, obs::MetricsSnapshot& rows) const;
 
  private:
   /// Latency in seconds, one histogram per endpoint.  Records always,

@@ -38,7 +38,10 @@ std::uint64_t group_key(const Request& r) {
 PredictionServer::PredictionServer(ServerOptions options)
     : options_(options),
       queue_(options.queue_capacity),
-      cache_(options.cache_capacity, options.cache_shards) {
+      cache_(options.cache_capacity, options.cache_shards),
+      scope_([this](obs::MetricsSnapshot& rows) {
+        metrics_.add_rows(metrics(), rows);
+      }) {
   GPPM_CHECK(options_.worker_threads > 0, "server needs at least one worker");
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.max_batch > kMaxTrackedBatch) {
@@ -121,7 +124,6 @@ void PredictionServer::set_tenant_quota(std::uint32_t tenant,
   opt.initial_limit = static_cast<double>(quota);
   opt.min_limit = static_cast<double>(quota);
   opt.max_limit = static_cast<double>(quota);
-  opt.instrument = false;
   quotas_[tenant] = std::make_shared<AdmissionController>(opt);
 }
 
@@ -262,7 +264,6 @@ ServerMetrics PredictionServer::metrics() const {
   ServerMetrics m = metrics_.snapshot();
   m.queue_high_water = queue_.high_water_mark();
   m.cache = cache_.stats();
-  publish_to_obs(m);
   return m;
 }
 

@@ -23,7 +23,8 @@
 //     typed Overloaded answers before it reaches the queue;
 //   * a MetricsCollector every worker records into (per-endpoint latency
 //     histograms, batch shapes, rejections) plus queue high-water and
-//     cache hit/miss accounting, exported as table and CSV.
+//     cache hit/miss accounting, exported as table and CSV, and read by
+//     the server's obs::Scope as serve.* rows.
 //
 // Robustness contract: a request that cannot be served is *answered*, not
 // abandoned — workers never die and futures never carry exceptions.
@@ -225,6 +226,8 @@ class PredictionServer {
   std::vector<std::thread> workers_;
   std::atomic<bool> running_{false};
   std::mutex shutdown_mutex_;
+  /// Last member: constructed after and destroyed before what it reads.
+  obs::Scope scope_;
 };
 
 }  // namespace gppm::serve

@@ -20,6 +20,7 @@
 #include "cluster/schedule.hpp"
 #include "core/dataset.hpp"
 #include "fault/plan.hpp"
+#include "obs/obs.hpp"
 
 namespace gppm::cluster {
 namespace {
@@ -416,6 +417,127 @@ TEST(ClusterChaosSchedule, SingleFamilyStreamsStayInFamily) {
     const ChaosAction k = kills.next().action;
     EXPECT_TRUE(k == ChaosAction::Kill || k == ChaosAction::Restart);
   }
+}
+
+TEST(ClusterFleetReconfig, ConcurrentDrainRejoinAndRollKeepTheRingServing) {
+  FleetOptions fopt;
+  fopt.backends = 3;
+  RouterOptions ropt;
+  ropt.health_interval = Duration::milliseconds(5.0);
+  ropt.breaker.cooldown = std::chrono::milliseconds(20);
+  LocalFleet fleet(power_model(), perf_model(), fopt, ropt);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> answered{0};
+  std::atomic<std::uint64_t> threw{0};
+  std::vector<std::thread> load;
+  for (int t = 0; t < 2; ++t) {
+    load.emplace_back([&, t] {
+      std::size_t i = static_cast<std::size_t>(t);
+      while (!done.load()) {
+        try {
+          (void)fleet.router().predict(predict_request(i++));
+          ++answered;
+        } catch (const std::exception&) {
+          ++threw;
+        }
+      }
+    });
+  }
+
+  // The drain scheduler's shape: drain every node, then rejoin them.  The
+  // ring's last member is refused whatever the roller is doing, since
+  // each roller step puts back the node it took out.
+  std::atomic<int> refused_last{0};
+  std::atomic<int> planner_errors{0};
+  std::thread scheduler([&] {
+    try {
+      for (int round = 0; round < 4; ++round) {
+        for (std::size_t i = 0; i < 3; ++i) {
+          if (fleet.drain_node(i).refused) ++refused_last;
+        }
+        for (std::size_t i = 0; i < 3; ++i) fleet.rejoin(i);
+      }
+    } catch (const std::exception&) {
+      ++planner_errors;
+    }
+  });
+  std::thread roller([&] {
+    try {
+      for (int sweep = 0; sweep < 3; ++sweep) (void)fleet.rolling_restart();
+    } catch (const std::exception&) {
+      ++planner_errors;
+    }
+  });
+  scheduler.join();
+  roller.join();
+  done.store(true);
+  for (std::thread& t : load) t.join();
+
+  EXPECT_EQ(planner_errors.load(), 0);
+  EXPECT_EQ(threw.load(), 0u);
+  EXPECT_GT(answered.load(), 0u);
+  EXPECT_EQ(refused_last.load(), 4);
+  EXPECT_EQ(fleet.router().backends().size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_TRUE(fleet.alive(i)) << i;
+}
+
+TEST(ClusterFleetReconfig, SnapshotLoopsWhileAFleetServesDrainsAndRejoins) {
+  // On, so the engines that die during the drains fold into the registry.
+  obs::set_enabled(true);
+  obs::Registry::instance().reset_values();
+  FleetOptions fopt;
+  fopt.backends = 2;
+  RouterOptions ropt;
+  ropt.health_interval = Duration::milliseconds(5.0);
+  LocalFleet fleet(power_model(), perf_model(), fopt, ropt);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> routed{0};
+  std::thread load([&] {
+    std::size_t i = 0;
+    while (!done.load()) {
+      (void)fleet.router().predict(predict_request(i++));
+      ++routed;
+    }
+  });
+  std::atomic<bool> planned{false};
+  std::thread planner([&] {
+    for (int round = 0; round < 5; ++round) {
+      EXPECT_FALSE(fleet.drain_node(1).refused);
+      fleet.rejoin(1);
+    }
+    planned.store(true);
+  });
+
+  // Node 1's engine dies and is rebuilt under the snapshots; its served
+  // count must never go backwards.
+  const auto served = [](const obs::MetricsSnapshot& snap) {
+    for (const obs::CounterRow& c : snap.counters) {
+      if (c.name == "serve.requests") return c.value;
+    }
+    return std::uint64_t{0};
+  };
+  std::uint64_t last = 0;
+  do {
+    const std::uint64_t now = served(obs::Registry::instance().snapshot());
+    EXPECT_GE(now, last);
+    last = now;
+  } while (!planned.load());
+  planner.join();
+  done.store(true);
+  load.join();
+
+  const obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
+  bool exported = false;
+  for (const obs::CounterRow& c : snap.counters) {
+    if (c.name != "cluster.router.requests") continue;
+    exported = true;
+    EXPECT_EQ(c.value, routed.load());
+  }
+  EXPECT_TRUE(exported);
+  EXPECT_GE(served(snap), last);
+  obs::set_enabled(false);
 }
 
 }  // namespace

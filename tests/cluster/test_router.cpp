@@ -19,6 +19,7 @@
 #include "cluster/ring.hpp"
 #include "cluster/router.hpp"
 #include "common/error.hpp"
+#include "obs/obs.hpp"
 
 namespace gppm::cluster {
 namespace {
@@ -285,6 +286,63 @@ TEST(ClusterRouter, RemoveBackendReroutesItsKeys) {
 
   router.remove_backend("ghost");  // unknown names are a no-op
   EXPECT_EQ(router.backends().size(), 1u);
+}
+
+TEST(ClusterRouter, BreakerOpensNeverDecreaseWhenABackendLeaves) {
+  RouterOptions opt = quiet_options();
+  opt.replicas = 3;
+  opt.breaker.failure_threshold = 1;
+  Router router(opt);
+  const std::vector<std::string> names = {"removed", "drained", "live"};
+  auto removed = std::make_shared<FakeBackend>("removed", 100.0);
+  auto drained = std::make_shared<FakeBackend>("drained", 200.0);
+  removed->set_down(true);
+  drained->set_down(true);
+  router.add_backend(removed);
+  router.add_backend(drained);
+  router.add_backend(std::make_shared<FakeBackend>("live", 300.0));
+
+  // One request whose primary is each dead backend trips both breakers;
+  // failover answers from the live one.
+  for (const char* dead : {"removed", "drained"}) {
+    EXPECT_TRUE(
+        router.predict(make_request(request_owned_by(names, dead))).ok());
+  }
+  ASSERT_EQ(router.breaker_state("removed"), BreakerState::Open);
+  ASSERT_EQ(router.breaker_state("drained"), BreakerState::Open);
+  const std::uint64_t opens = router.stats().breaker_opens;
+  EXPECT_EQ(opens, 2u);
+
+  router.remove_backend("removed");
+  EXPECT_EQ(router.stats().breaker_opens, opens);
+  EXPECT_TRUE(router.drain_backend("drained").completed);
+  EXPECT_EQ(router.stats().breaker_opens, opens);
+}
+
+TEST(ClusterRouter, ExportsTheBreakerOpensItsStatsReport) {
+  obs::set_enabled(true);
+  obs::Registry::instance().reset_values();
+  {
+    RouterOptions opt = quiet_options();  // no health loop
+    opt.breaker.failure_threshold = 1;
+    Router router(opt);
+    auto a = std::make_shared<FakeBackend>("alpha", 100.0);
+    a->set_down(true);
+    router.add_backend(a);
+    router.predict(make_request(0));  // trips the only breaker
+    const std::uint64_t opens = router.stats().breaker_opens;
+    EXPECT_EQ(opens, 1u);
+
+    const obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
+    bool exported = false;
+    for (const obs::CounterRow& c : snap.counters) {
+      if (c.name != "cluster.router.breaker_opens") continue;
+      exported = true;
+      EXPECT_EQ(c.value, opens);
+    }
+    EXPECT_TRUE(exported);
+  }
+  obs::set_enabled(false);
 }
 
 TEST(ClusterRouter, HealthReflectsBreakerAdmission) {

@@ -337,6 +337,24 @@ TEST(ObsDisabled, HotPathDoesNotAllocate) {
   EXPECT_EQ(g_allocations.load(), before);
 }
 
+TEST(ObsDisabled, ScopeLifecycleDoesNotAllocate) {
+  set_enabled(false);
+  Counter events;
+  const auto read = [&events](MetricsSnapshot& rows) {
+    rows.add_counter("test.noalloc_scope.events", events.value());
+  };
+  { Scope warm(read); }  // the registry itself is built on first use
+
+  // With obs off, a component's scope registers and unregisters without
+  // reading or folding its rows, so components come and go allocation-free.
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < 100; ++i) {
+    Scope scope(read);
+    events.add();
+  }
+  EXPECT_EQ(g_allocations.load(), before);
+}
+
 TEST(ObsExport, MetricsCsvListsEveryInstrumentKind) {
   EnabledGuard on(true);
   Registry::instance().counter("test.csv_counter").add(3);

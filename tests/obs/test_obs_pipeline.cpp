@@ -134,8 +134,8 @@ TEST(ObsPipeline, SweepSelectServeProducesTraceAndFullMetrics) {
       stats::forward_select(table.features, table.target, sopt);
   EXPECT_GT(sel.selected.size(), 0u);
 
-  // Layer 4: prediction serving (serve.* counters, histogram and the
-  // snapshot-time gauge bridge).
+  // Layer 4: prediction serving (the server's scope: serve.* counters,
+  // latency histograms and queue/cache gauges, kept after it is gone).
   {
     serve::PredictionServer server;
     server.load_models(
@@ -154,7 +154,7 @@ TEST(ObsPipeline, SweepSelectServeProducesTraceAndFullMetrics) {
     for (auto& f : pending) {
       EXPECT_EQ(f.get().status, serve::ResponseStatus::Ok);
     }
-    (void)server.metrics();  // publishes the serve.* gauges
+    (void)server.metrics();  // a plain snapshot; the scope exports serve.*
     server.shutdown();
   }
 

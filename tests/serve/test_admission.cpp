@@ -19,7 +19,6 @@ AdmissionOptions small_options() {
   AdmissionOptions opt;
   opt.initial_limit = 4.0;
   opt.min_limit = 2.0;
-  opt.instrument = false;  // unit tests: no registry traffic
   return opt;
 }
 
@@ -122,7 +121,6 @@ TEST(ServeAdmission, ConstructionRejectsInvertedAndZeroLimits) {
   // construction instead of silently producing a pinned/inverted clamp.
   auto with = [](auto mutate) {
     AdmissionOptions opt;
-    opt.instrument = false;
     mutate(opt);
     return opt;
   };
@@ -168,7 +166,6 @@ TEST(ServeAdmission, ConstructionRejectsNaNLimits) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (int field = 0; field < 4; ++field) {
     AdmissionOptions opt;
-    opt.instrument = false;
     if (field == 0) opt.initial_limit = nan;
     if (field == 1) opt.min_limit = nan;
     if (field == 2) opt.max_limit = nan;
@@ -177,14 +174,12 @@ TEST(ServeAdmission, ConstructionRejectsNaNLimits) {
                                                             << field;
   }
   AdmissionOptions inf_opt;
-  inf_opt.instrument = false;
   inf_opt.max_limit = std::numeric_limits<double>::infinity();
   EXPECT_THROW(AdmissionController ctl(inf_opt), gppm::Error);
 }
 
 TEST(ServeAdmission, OutOfRangeInitialLimitClampsIntoBand) {
   AdmissionOptions opt;
-  opt.instrument = false;
   opt.min_limit = 4.0;
   opt.max_limit = 16.0;
   opt.initial_limit = 1000.0;  // above the ceiling: clamped, not rejected

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/optimizer.hpp"
+#include "obs/obs.hpp"
 #include "serve/trace.hpp"
 
 namespace gppm::serve {
@@ -165,6 +166,33 @@ TEST(ServeServer, UnloadedBoardGetsTypedErrorResponse) {
   EXPECT_EQ(r.kind, RequestKind::Predict);
   EXPECT_GT(r.latency.as_seconds(), 0.0);
   EXPECT_GE(server.metrics().error_responses, 1u);
+}
+
+TEST(ServeServer, TenantAcceptedIsExportedOnceAsACounter) {
+  obs::set_enabled(true);
+  obs::Registry::instance().reset_values();
+  {
+    PredictionServer server;
+    server.load_models(power_model(), perf_model());
+    for (int i = 0; i < 3; ++i) {
+      Request r = predict_request(dataset().samples.front().counters);
+      r.tenant = 7;
+      EXPECT_TRUE(server.submit(std::move(r)).get().ok());
+    }
+    (void)server.metrics();
+    const obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
+    int counters = 0;
+    for (const obs::CounterRow& c : snap.counters) {
+      if (c.name != "serve.tenant.7.accepted") continue;
+      ++counters;
+      EXPECT_EQ(c.value, 3u);
+    }
+    EXPECT_EQ(counters, 1);
+    for (const obs::GaugeRow& g : snap.gauges) {
+      EXPECT_NE(g.name, "serve.tenant.7.accepted") << "exported as a gauge";
+    }
+  }
+  obs::set_enabled(false);
 }
 
 TEST(ServeServer, ResponseStatusNamesAreStable) {

@@ -871,14 +871,16 @@ int loadgen_cluster(const LoadgenOptions& opt) {
               << " requests handed off), " << rs.admission_shed
               << " shed by admission\n";
   }
+  // A refused drain left the ring's last member serving.
   if (opt.drain_every_ms > 0.0) {
     std::cout << "drain scheduler: " << disturbed.drains
               << " planned drains, " << disturbed.lossy_drains
-              << " with loss\n";
+              << " with loss, " << disturbed.refused_drains << " refused\n";
   }
   if (opt.rolling_restart) {
     std::cout << "rolling restarts: " << disturbed.sweeps << " full sweeps, "
-              << disturbed.lossy_sweeps << " with loss\n";
+              << disturbed.lossy_sweeps << " with loss, "
+              << disturbed.refused_sweep_drains << " node drains refused\n";
   }
   if (supervisor) {
     const cluster::SupervisorStats ss = supervisor->stats();
