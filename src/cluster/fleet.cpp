@@ -44,8 +44,9 @@ std::unique_ptr<LocalFleet::Node> LocalFleet::make_node(
     net::ClientOptions copt = options_.client;
     copt.host = "127.0.0.1";
     copt.port = node->port;
+    constexpr std::size_t kRemoteWorkers = 4;  // RPC threads per node
     node->fronting = std::make_shared<RemoteBackend>(
-        name, copt, options_.remote_workers, options_.injector);
+        name, copt, kRemoteWorkers, options_.injector);
   } else {
     node->fronting = node->local;
   }

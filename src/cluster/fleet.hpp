@@ -55,8 +55,6 @@ struct FleetOptions {
   bool wire = false;
   /// Wire mode: client options template (host/port are filled per node).
   net::ClientOptions client;
-  /// Wire mode: RPC worker threads per RemoteBackend.
-  std::size_t remote_workers = 4;
   /// Wire mode: fault injector for *client-side* socket I/O (net.reset
   /// bursts in the chaos profile).  May be nullptr.
   fault::FaultInjector* injector = nullptr;

@@ -11,6 +11,9 @@ namespace gppm::cluster {
 
 namespace {
 
+/// Executor threads behind submit().
+constexpr std::size_t kAsyncWorkers = 4;
+
 std::chrono::steady_clock::duration to_steady(Duration d) {
   return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
       std::chrono::duration<double>(d.as_seconds()));
@@ -30,9 +33,8 @@ Router::Router(RouterOptions options)
       async_queue_(4096),
       scope_([this](obs::MetricsSnapshot& rows) { add_rows(rows); }) {
   GPPM_CHECK(options_.replicas >= 1, "router needs replicas >= 1");
-  GPPM_CHECK(options_.async_workers >= 1, "router needs async workers >= 1");
-  executors_.reserve(options_.async_workers);
-  for (std::size_t i = 0; i < options_.async_workers; ++i) {
+  executors_.reserve(kAsyncWorkers);
+  for (std::size_t i = 0; i < kAsyncWorkers; ++i) {
     executors_.emplace_back([this] { executor_loop(); });
   }
   if (options_.health_interval.as_seconds() > 0.0) {
@@ -76,7 +78,8 @@ void Router::remove_backend(const std::string& name) {
 
 DrainReport Router::drain_backend(const std::string& name, Duration timeout) {
   obs::ObsSpan span("cluster.router.drain");
-  if (timeout.as_seconds() <= 0.0) timeout = options_.drain_timeout;
+  constexpr Duration kDrainTimeout = Duration::seconds(10.0);
+  if (timeout.as_seconds() <= 0.0) timeout = kDrainTimeout;
   const auto start = std::chrono::steady_clock::now();
 
   DrainReport report;
@@ -122,7 +125,8 @@ DrainReport Router::drain_backend(const std::string& name, Duration timeout) {
   }
 
   const auto deadline = start + to_steady(timeout);
-  const auto poll = to_steady(options_.drain_poll);
+  constexpr Duration kDrainPoll = Duration::milliseconds(1.0);
+  const auto poll = to_steady(kDrainPoll);
   while (slot->in_flight.value() > 0) {
     if (std::chrono::steady_clock::now() >= deadline) break;
     std::this_thread::sleep_for(poll);
@@ -173,7 +177,9 @@ Duration Router::hedge_delay() const {
   if (latency_.count() < options_.hedge_min_samples) {
     return options_.hedge_max_delay;
   }
-  const double q = latency_.quantile(options_.hedge_quantile);
+  // Hedge when the primary is slower than this observed quantile.
+  constexpr double kHedgeQuantile = 0.99;
+  const double q = latency_.quantile(kHedgeQuantile);
   return Duration::seconds(
       std::clamp(q, options_.hedge_min_delay.as_seconds(),
                  options_.hedge_max_delay.as_seconds()));
@@ -280,7 +286,9 @@ serve::Response Router::predict_admitted(const serve::Request& request) {
   const auto hedge_at = flights.front().launched + to_steady(hedge_delay());
   bool hedge_considered = !options_.hedging;
 
-  const auto slice = to_steady(options_.poll_slice);
+  // Completion poll tick while flights are outstanding.
+  constexpr Duration kPollSlice = Duration::microseconds(200.0);
+  const auto slice = to_steady(kPollSlice);
   while (true) {
     // Poll every outstanding flight for one slice's worth of budget.
     const auto wait =
@@ -418,7 +426,7 @@ net::HealthStatus Router::health() const {
   net::HealthStatus status;
   status.queue_depth = static_cast<std::uint32_t>(async_queue_.size());
   status.queue_capacity = 4096;
-  status.workers = static_cast<std::uint32_t>(options_.async_workers);
+  status.workers = static_cast<std::uint32_t>(kAsyncWorkers);
   std::shared_lock<std::shared_mutex> lock(membership_mutex_);
   status.boards = static_cast<std::uint16_t>(slots_.size());
   // Accepting means a request submitted now could be served: the router is

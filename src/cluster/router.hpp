@@ -13,7 +13,7 @@
 //     the health loop probes it (HalfOpen) and closes the breaker when it
 //     answers again;
 //   * hedged requests — if the primary has not answered within the
-//     observed p`hedge_quantile` latency (an obs::Histogram, clamped to
+//     observed p99 latency (an obs::Histogram, clamped to
 //     [hedge_min_delay, hedge_max_delay]), the same request is fired at
 //     the next replica and the first answer wins.  The loser is
 //     abandoned, not awaited: the futures are promise-backed, so dropping
@@ -80,25 +80,17 @@ struct RouterOptions {
   std::size_t ring_vnodes = 256;
 
   bool hedging = true;
-  /// Hedge fires when the primary is slower than this observed quantile.
-  double hedge_quantile = 0.99;
   Duration hedge_min_delay = Duration::milliseconds(0.5);
   Duration hedge_max_delay = Duration::milliseconds(100.0);
   /// Below this many recorded latencies the trigger is hedge_max_delay
   /// (be conservative until the distribution is known).
   std::uint64_t hedge_min_samples = 64;
 
-  /// Completion poll tick while flights are outstanding.
-  Duration poll_slice = Duration::microseconds(200.0);
-
   BreakerOptions breaker;
 
   /// Health-probe period; 0 disables the background loop (tests drive
   /// breakers directly).
   Duration health_interval = Duration::milliseconds(25.0);
-
-  /// Executor threads behind submit().
-  std::size_t async_workers = 4;
 
   /// Adaptive overload control (AIMD limit + deadline-aware admission) in
   /// front of predict(); a shed request gets a typed Overloaded response
@@ -109,10 +101,6 @@ struct RouterOptions {
   /// Chaos hook: consulted at the `cluster.drain.slow` site by
   /// drain_backend().  Not owned; may be nullptr (no injection).
   fault::FaultInjector* injector = nullptr;
-
-  /// In-flight poll tick and default wait bound for drain_backend().
-  Duration drain_poll = Duration::milliseconds(1.0);
-  Duration drain_timeout = Duration::seconds(10.0);
 };
 
 /// Outcome of one drain_backend() call.
@@ -165,7 +153,7 @@ class Router {
   /// Planned removal: the backend leaves the ring immediately (new keys
   /// route to the post-removal owners) but its slot is kept in a Draining
   /// set so in-flight requests complete on it; blocks until in-flight hits
-  /// zero or `timeout` (<= 0 uses options.drain_timeout), then drops the
+  /// zero or `timeout` (<= 0 waits up to 10 s), then drops the
   /// slot and reports.  Unknown names return a completed zero-loss no-op
   /// report; draining a name twice observes the same drain.
   DrainReport drain_backend(const std::string& name,

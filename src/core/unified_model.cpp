@@ -145,27 +145,37 @@ UnifiedModel UnifiedModel::from_parts(Parts parts) {
 
 double UnifiedModel::predict(const profiler::ProfileResult& counters,
                              sim::FrequencyPair pair) const {
-  const sim::DeviceSpec& spec = sim::device_spec(gpu_);
   double acc = intercept_;
   for (std::size_t i = 0; i < variables_.size(); ++i) {
-    const std::size_t idx = counter_indices_[i];
-    profiler::CounterReading reading;
-    if (idx < counters.counters.size()) {
-      reading = counters.counters[idx];
-      GPPM_CHECK(reading.name == variables_[i].counter,
-                 "counter order mismatch: expected " + variables_[i].counter);
-    } else {
-      // A mix-term model cannot be driven by a profile that lacks the mix
-      // pseudo-counters — that would silently substitute a unit baseline.
-      GPPM_CHECK(!is_mix_feature(variables_[i].counter),
-                 "profile lacks mix pseudo-counter " + variables_[i].counter);
-      // Baseline pseudo-feature (extension): unit-rate reading.
-      reading = baseline_reading(variables_[i].klass);
-    }
-    acc += variables_[i].coefficient *
-           feature_value(reading, pair, spec, target_, scaling_);
+    acc += variables_[i].coefficient * feature(i, counters, pair);
   }
   return acc;
+}
+
+double UnifiedModel::feature(std::size_t i,
+                             const profiler::ProfileResult& counters,
+                             sim::FrequencyPair pair) const {
+  static const profiler::CounterReading kUnitCore =
+      baseline_reading(profiler::EventClass::Core);
+  static const profiler::CounterReading kUnitMem =
+      baseline_reading(profiler::EventClass::Memory);
+  const SelectedVariable& var = variables_[i];
+  const std::size_t idx = counter_indices_[i];
+  const sim::DeviceSpec& spec = sim::device_spec(gpu_);
+  if (idx < counters.counters.size()) {
+    const profiler::CounterReading& reading = counters.counters[idx];
+    GPPM_CHECK(reading.name == var.counter,
+               "counter order mismatch: expected " + var.counter);
+    return feature_value(reading, pair, spec, target_, scaling_);
+  }
+  // A mix-term model cannot be driven by a profile that lacks the mix
+  // pseudo-counters — that would silently substitute a unit baseline.
+  GPPM_CHECK(!is_mix_feature(var.counter),
+             "profile lacks mix pseudo-counter " + var.counter);
+  // Baseline pseudo-feature (extension): unit-rate reading.
+  return feature_value(
+      var.klass == profiler::EventClass::Core ? kUnitCore : kUnitMem, pair,
+      spec, target_, scaling_);
 }
 
 }  // namespace gppm::core

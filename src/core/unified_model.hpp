@@ -72,6 +72,14 @@ class UnifiedModel {
   double predict(const profiler::ProfileResult& counters,
                  sim::FrequencyPair pair) const;
 
+  /// Variable i's feature value for a profiled workload at a pair, from
+  /// the profile's reading at the variable's index (its name must match)
+  /// or, for a baseline pseudo-feature, a unit reading.  predict() sums
+  /// these; the online refitter builds its rows from them.  Throws if the
+  /// variable is a mix pseudo-counter the profile lacks.
+  double feature(std::size_t i, const profiler::ProfileResult& counters,
+                 sim::FrequencyPair pair) const;
+
   TargetKind target() const { return target_; }
   FeatureScaling scaling() const { return scaling_; }
   sim::GpuModel gpu() const { return gpu_; }

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/features.hpp"
 
 namespace gppm::governor {
 
@@ -60,24 +59,11 @@ ModelRefitter::ModelRefitter(const core::Dataset& seed_corpus,
 
 linalg::Vector ModelRefitter::feature_row(
     const core::UnifiedModel& model, const profiler::ProfileResult& counters,
-    sim::FrequencyPair pair) const {
-  const sim::DeviceSpec& spec = sim::device_spec(model.gpu());
-  const core::UnifiedModel::Parts parts = model.parts();
-  linalg::Vector row(parts.variables.size() + 1);
+    sim::FrequencyPair pair) {
+  linalg::Vector row(model.variables().size() + 1);
   row[0] = 1.0;  // intercept column
-  for (std::size_t i = 0; i < parts.variables.size(); ++i) {
-    const std::size_t idx = parts.counter_indices[i];
-    profiler::CounterReading reading;
-    if (idx < counters.counters.size()) {
-      reading = counters.counters[idx];
-      GPPM_CHECK(reading.name == parts.variables[i].counter,
-                 "counter order mismatch: expected " +
-                     parts.variables[i].counter);
-    } else {
-      reading = core::baseline_reading(parts.variables[i].klass);
-    }
-    row[i + 1] = core::feature_value(reading, pair, spec, model.target(),
-                                     model.scaling());
+  for (std::size_t i = 0; i < model.variables().size(); ++i) {
+    row[i + 1] = model.feature(i, counters, pair);
   }
   return row;
 }

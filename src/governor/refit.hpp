@@ -62,9 +62,9 @@ class ModelRefitter {
   int rebuild_count() const;
 
  private:
-  linalg::Vector feature_row(const core::UnifiedModel& model,
-                             const profiler::ProfileResult& counters,
-                             sim::FrequencyPair pair) const;
+  static linalg::Vector feature_row(const core::UnifiedModel& model,
+                                    const profiler::ProfileResult& counters,
+                                    sim::FrequencyPair pair);
   static core::UnifiedModel with_coefficients(const core::UnifiedModel& model,
                                               const linalg::Vector& beta);
 

@@ -111,9 +111,12 @@ Frame Client::read_frame(Conn& conn) {
       conn.last_used = std::chrono::steady_clock::now();
       return std::move(*frame);
     }
-    if (!conn.socket.wait_readable(options_.response_timeout_ms)) {
+    // One RPC waits this long for its response frame before the
+    // connection is declared dead (ConnectionError, hence retried).
+    constexpr int kResponseTimeoutMs = 30000;
+    if (!conn.socket.wait_readable(kResponseTimeoutMs)) {
       throw ConnectionError("timed out after " +
-                            std::to_string(options_.response_timeout_ms) +
+                            std::to_string(kResponseTimeoutMs) +
                             " ms waiting for a response");
     }
     const std::size_t n = conn.socket.read_some(buf, sizeof(buf));

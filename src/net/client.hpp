@@ -67,9 +67,6 @@ struct ClientOptions {
   RetryPolicy retry;
   /// Seed for the backoff jitter stream.
   std::uint64_t seed = 0x6770706d'6e657431ull;
-  /// How long one RPC waits for its response frame before the connection
-  /// is declared dead (ConnectionError, hence retried).
-  int response_timeout_ms = 30000;
   /// Pooled connections idle longer than this are closed and redialed on
   /// next use instead of trusting a socket the server may long since have
   /// dropped.  0 disables the idle check (the pre-send liveness probe

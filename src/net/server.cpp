@@ -36,7 +36,7 @@ Server::Server(ServeBridge bridge, ServerOptions options,
     : bridge_(std::move(bridge)),
       options_(std::move(options)),
       injector_(injector),
-      listener_(options_.bind_address, options_.port, options_.backlog),
+      listener_(options_.bind_address, options_.port),
       scope_([this](obs::MetricsSnapshot& rows) {
         rows.add_counter("net.server.bytes_rx", bytes_received_.load());
         rows.add_counter("net.server.bytes_tx", bytes_sent_.load());
@@ -153,7 +153,10 @@ void Server::accept_loop() {
     }
 
     connections_accepted_.fetch_add(1);
-    auto conn = std::make_shared<Connection>(options_.write_queue_capacity);
+    // Pending-response bound per connection: back-pressure on the reader
+    // once the peer stops draining.
+    constexpr std::size_t kWriteQueueCapacity = 256;
+    auto conn = std::make_shared<Connection>(kWriteQueueCapacity);
     conn->socket = fault::FaultySocket(std::move(raw), injector_);
     {
       std::lock_guard<std::mutex> lock(connections_mutex_);
@@ -171,7 +174,9 @@ void Server::reader_loop(Connection& conn) {
   bool open = true;
   while (open && !stopped_.load(std::memory_order_acquire)) {
     try {
-      if (!conn.socket.wait_readable(options_.poll_interval_ms)) continue;
+      // The idle poll tick bounds how fast stop() is observed.
+      constexpr int kPollIntervalMs = 100;
+      if (!conn.socket.wait_readable(kPollIntervalMs)) continue;
       const std::size_t n =
           conn.socket.read_some(conn.read_buf.data(), conn.read_buf.size());
       if (n == 0) break;  // orderly EOF

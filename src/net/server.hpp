@@ -61,16 +61,10 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port, readable via Server::port().
   std::uint16_t port = 0;
-  int backlog = 64;
   /// Connections beyond this are accepted and immediately closed with an
   /// ErrorReply, so a client sees a typed refusal instead of a hang.
   std::size_t max_connections = 64;
   std::size_t max_frame_payload = kDefaultMaxPayload;
-  /// Pending-response bound per connection (back-pressure on the reader
-  /// once the peer stops draining).
-  std::size_t write_queue_capacity = 256;
-  /// Reader poll tick; bounds how fast stop() is observed when idle.
-  int poll_interval_ms = 100;
 };
 
 /// Point-in-time transport counters, read from the server's own atomics

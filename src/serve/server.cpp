@@ -33,12 +33,14 @@ std::uint64_t group_key(const Request& r) {
   return (static_cast<std::uint64_t>(r.tenant) << 8) | endpoint;
 }
 
+constexpr std::size_t kCacheShards = 16;
+
 }  // namespace
 
 PredictionServer::PredictionServer(ServerOptions options)
     : options_(options),
       queue_(options.queue_capacity),
-      cache_(options.cache_capacity, options.cache_shards),
+      cache_(options.cache_capacity, kCacheShards),
       scope_([this](obs::MetricsSnapshot& rows) {
         metrics_.add_rows(metrics(), rows);
       }) {

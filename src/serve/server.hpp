@@ -70,7 +70,6 @@ struct ServerOptions {
   std::size_t max_batch = 32;
   /// Total prediction-cache entries; 0 disables caching.
   std::size_t cache_capacity = 1 << 16;
-  std::size_t cache_shards = 16;
   /// Governor configuration for the Govern endpoint (policy is taken from
   /// the request; threshold and cap from here).
   core::GovernorOptions governor;

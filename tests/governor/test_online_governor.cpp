@@ -308,5 +308,22 @@ TEST(ModelRefitter, ObservationsMoveTheCoefficients) {
   EXPECT_EQ(refitter.observation_count(), 64u);
 }
 
+TEST(ModelRefitter, RejectsMixTermModelOverPlainCorpus) {
+  // A power model with a mix pseudo-counter past the catalog cannot be fed
+  // from the plain corpus: its rows carry no mix readings, and a unit
+  // baseline must not stand in for one.
+  core::UnifiedModel::Parts parts = extended_power().parts();
+  const std::size_t catalog_size =
+      profiler::counter_catalog(sim::device_spec(sim::GpuModel::GTX680)
+                                    .architecture)
+          .size();
+  parts.variables.push_back(
+      {"mix.bw_pressure", profiler::EventClass::Memory, 1.0, 0.0});
+  parts.counter_indices.push_back(catalog_size + 2);
+  const core::UnifiedModel mix_power =
+      core::UnifiedModel::from_parts(std::move(parts));
+  EXPECT_THROW(ModelRefitter(dataset(), mix_power, perf_model()), Error);
+}
+
 }  // namespace
 }  // namespace gppm::governor

@@ -1,68 +1,25 @@
-// gppm command-line interface.
-//
-// Everything the library offers, driveable from a shell:
-//
-//   gppm specs                          TABLE I device registry
-//   gppm pairs <gpu>                    configurable pairs of a board
-//   gppm benchmarks                     the 37-program suite
-//   gppm sweep <gpu> <benchmark>        per-pair measurement sweep
-//   gppm fit <gpu> <power|exectime> [--out FILE] [--v2f] [--baseline]
-//                                       build the 114-sample corpus, fit a
-//                                       unified model, optionally save it
-//   gppm predict <model-file> <benchmark> [size]
-//                                       load a model, profile the workload,
-//                                       predict every configurable pair
-//   gppm governor <gpu> <bench> [bench...]
-//                                       run the phase-level DVFS governor
-//   gppm govern <gpu> [options]         run the *online* closed-loop
-//                                       governor over a drifting phase
-//                                       schedule: profile -> decide ->
-//                                       apply through the VBIOS controller
-//                                       -> measure -> refit online
-//   gppm serve <gpu> --listen PORT      put the prediction server on the
-//                                       wire (gppm::net RPC; port 0 picks
-//                                       an ephemeral port, printed on start)
-//   gppm serve-bench <gpu> [options]    replay a synthetic trace against the
-//                                       concurrent prediction server (fitted
-//                                       in-process or loaded from files)
-//   gppm loadgen --connect HOST:PORT [options]
-//                                       replay a synthetic trace against a
-//                                       running `gppm serve --listen`
-//   gppm loadgen --cluster N [options]  replay one through a self-hosted
-//                                       routed fleet, optionally under
-//                                       seeded chaos and reconfiguration;
-//                                       exit 1 on any answer that is not
-//                                       bit-identical to one server's
-//   gppm chaos <gpu> [options]          characterize under injected
-//                                       instrument faults; report coverage
-//                                       and divergence vs the fault-free run
-//   gppm mix <gpu> [options]            co-schedule kernel mixes on one
-//                                       board: per-member slowdowns and
-//                                       bandwidth pressure, and with --fit
-//                                       the interference-aware model gate
-//                                       (solo vs mix held-out error)
-//   gppm obs-demo                       exercise every instrumented layer
-//                                       and print the obs metrics table
-//
-// Any command additionally accepts --trace-out=FILE and --metrics-out=FILE:
-// either flag enables the gppm::obs observability layer for the run and,
-// on exit, writes the span buffer as Chrome trace_event JSON
-// (chrome://tracing / Perfetto loadable) and the metrics registry as CSV.
-//
-// GPU names: gtx285, gtx460, gtx480, gtx680.
+// gppm command-line interface: the boards and the suite, the TABLE IV
+// sweeps, the unified models of §IV, the offline and online governors, the
+// prediction server (in process, on the wire, behind a routed fleet under
+// seeded chaos), fault-injected characterization and kernel mixes.
+// usage() lists every command; each cmd_* function declares its flags
+// once, with their ranges (flags.hpp).  Any command also accepts
+// --trace-out=FILE and --metrics-out=FILE: either enables gppm::obs for the
+// run and, on exit, writes the spans as Chrome trace_event JSON and the
+// metrics registry as CSV.  Exit codes: 0 success, 1 runtime or gate
+// failure, 2 usage error (`--help` after any command: usage, exit 0).
 #include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "common/str.hpp"
 #include "common/table.hpp"
 #include "core/characterization.hpp"
@@ -90,10 +47,22 @@
 #include "serve/server.hpp"
 #include "serve/trace.hpp"
 #include "workload/suite.hpp"
+#include "flags.hpp"
 
 using namespace gppm;
 
 namespace {
+
+// Bounds of the flags that size a thread pool, a node set, the trace or a
+// wait.  Thread counts follow GPPM_THREADS's clamp in parallel_threads();
+// durations stay under a day and rates above 0.01 req/s, so every
+// conversion to integer clock ticks stays far from overflow.
+constexpr std::uint64_t kMaxThreads = 256;   // --workers/clients/connections
+constexpr std::uint64_t kMaxNodes = 64;      // --cluster --replicas
+constexpr std::uint64_t kMaxTrace = 100000;  // --requests --phases --mixes
+constexpr std::uint64_t kMaxCache = 1 << 24;
+constexpr double kMaxSeconds = 86400.0;  // --duration; the ms flags x 1000
+constexpr double kMinRate = 0.01, kMaxRate = 1e7;  // --open-loop, req/s
 
 /// Explicitly requested help prints to stdout and exits 0; a bad
 /// invocation prints the same text to stderr and exits 2.
@@ -137,9 +106,34 @@ int usage(std::ostream& out, int code) {
   return code;
 }
 
-int usage() { return usage(std::cerr, 2); }
+/// The model pair every pair-picking command serves or governs with: the
+/// extended-form power model and the exec-time model, fitted on the
+/// board's corpus (kept for the governor loop).
+struct ModelPair {
+  core::Dataset dataset;
+  core::UnifiedModel power;
+  core::UnifiedModel perf;
+};
 
-int cmd_specs() {
+ModelPair fit_model_pair(sim::GpuModel board) {
+  core::Dataset ds = core::build_dataset(board);
+  core::UnifiedModel power = core::UnifiedModel::fit(
+      ds, core::TargetKind::Power, core::extended_power_options());
+  core::UnifiedModel perf =
+      core::UnifiedModel::fit(ds, core::TargetKind::ExecTime);
+  return {std::move(ds), std::move(power), std::move(perf)};
+}
+
+/// Under --chaos, clients ride out injected transport faults: up to 8
+/// attempts, backing off from 1 ms to 50 ms.
+void use_chaos_retry(net::ClientOptions& client) {
+  client.retry.max_attempts = 8;
+  client.retry.initial_backoff = Duration::milliseconds(1.0);
+  client.retry.max_backoff = Duration::milliseconds(50.0);
+}
+
+int cmd_specs(cli::Flags& flags) {
+  flags.parse();
   AsciiTable table({"GPU", "arch", "cores", "GFLOPS", "GB/s", "TDP W",
                     "counters"});
   for (sim::GpuModel m : sim::kAllGpus) {
@@ -154,8 +148,8 @@ int cmd_specs() {
   return 0;
 }
 
-int cmd_pairs(const std::string& gpu) {
-  const sim::GpuModel model = sim::parse_gpu(gpu);
+int cmd_pairs(cli::Flags& flags) {
+  const sim::GpuModel model = sim::parse_gpu(flags.parse(1)[0]);
   const sim::DeviceSpec& spec = sim::device_spec(model);
   AsciiTable table({"pair", "core MHz", "mem MHz"});
   for (sim::FrequencyPair p : dvfs::configurable_pairs(model)) {
@@ -167,8 +161,8 @@ int cmd_pairs(const std::string& gpu) {
   return 0;
 }
 
-int cmd_counters(const std::string& gpu) {
-  const sim::GpuModel model = sim::parse_gpu(gpu);
+int cmd_counters(cli::Flags& flags) {
+  const sim::GpuModel model = sim::parse_gpu(flags.parse(1)[0]);
   const auto& catalog =
       profiler::counter_catalog(sim::device_spec(model).architecture);
   AsciiTable table({"#", "counter", "class"});
@@ -182,7 +176,8 @@ int cmd_counters(const std::string& gpu) {
   return 0;
 }
 
-int cmd_trace(const std::string& which) {
+int cmd_trace(cli::Flags& flags) {
+  const std::string which = flags.parse(1)[0];
   ir::Program program;
   if (which == "vector_add") {
     program = ir::vector_add(1 << 22);
@@ -221,7 +216,8 @@ int cmd_trace(const std::string& which) {
   return 0;
 }
 
-int cmd_benchmarks() {
+int cmd_benchmarks(cli::Flags& flags) {
+  flags.parse();
   AsciiTable table({"benchmark", "suite", "input sizes", "profiler"});
   for (const workload::BenchmarkDef& def : workload::benchmark_suite()) {
     table.add_row({def.name, workload::to_string(def.suite),
@@ -233,9 +229,10 @@ int cmd_benchmarks() {
   return 0;
 }
 
-int cmd_sweep(const std::string& gpu, const std::string& bench_name) {
-  const sim::GpuModel model = sim::parse_gpu(gpu);
-  const workload::BenchmarkDef& bench = workload::find_benchmark(bench_name);
+int cmd_sweep(cli::Flags& flags) {
+  const std::vector<std::string> args = flags.parse(2);
+  const sim::GpuModel model = sim::parse_gpu(args[0]);
+  const workload::BenchmarkDef& bench = workload::find_benchmark(args[1]);
   core::MeasurementRunner runner(model);
   const core::Sweep sweep =
       core::sweep_pairs(runner, bench, bench.size_count - 1);
@@ -258,29 +255,23 @@ int cmd_sweep(const std::string& gpu, const std::string& bench_name) {
   return 0;
 }
 
-int cmd_fit(int argc, char** argv) {
-  // gppm fit <gpu> <target> [--out FILE] [--v2f] [--baseline]
-  if (argc < 4) return usage();
-  const sim::GpuModel model = sim::parse_gpu(argv[2]);
-  const std::string target_name = argv[3];
-  if (target_name != "power" && target_name != "exectime") return usage();
-  const core::TargetKind target = target_name == "power"
-                                      ? core::TargetKind::Power
-                                      : core::TargetKind::ExecTime;
+int cmd_fit(cli::Flags& flags) {
   core::ModelOptions opt;
   std::string out_file;
-  for (int i = 4; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) {
-      out_file = argv[++i];
-    } else if (arg == "--v2f") {
-      opt.scaling = core::FeatureScaling::VoltageSquaredFrequency;
-    } else if (arg == "--baseline") {
-      opt.include_baseline_terms = true;
-    } else {
-      return usage();
-    }
+  bool v2f = false;
+  flags.text("--out", out_file)
+      .toggle("--v2f", v2f)
+      .toggle("--baseline", opt.include_baseline_terms);
+  const std::vector<std::string> args = flags.parse(2);
+  const sim::GpuModel model = sim::parse_gpu(args[0]);
+  if (args[1] != "power" && args[1] != "exectime") {
+    throw cli::UsageError("fit target must be power or exectime, got '" +
+                          args[1] + "'");
   }
+  const core::TargetKind target = args[1] == "power"
+                                      ? core::TargetKind::Power
+                                      : core::TargetKind::ExecTime;
+  if (v2f) opt.scaling = core::FeatureScaling::VoltageSquaredFrequency;
 
   std::cout << "building corpus for " << sim::to_string(model) << "...\n";
   const core::Dataset ds = core::build_dataset(model);
@@ -306,28 +297,32 @@ int cmd_fit(int argc, char** argv) {
   return 0;
 }
 
-int cmd_predict(int argc, char** argv) {
-  // gppm predict <model-file> <benchmark> [size]
-  if (argc < 4) return usage();
-  std::ifstream in(argv[2]);
-  if (!in) throw Error(std::string("cannot open ") + argv[2]);
+int cmd_predict(cli::Flags& flags) {
+  const std::vector<std::string> args = flags.parse(2, 3);
+  const workload::BenchmarkDef& bench = workload::find_benchmark(args[1]);
+  const std::size_t largest = bench.size_count - 1;
+  const std::optional<std::uint64_t> size =
+      args.size() > 2 ? cli::to_integer(args[2], 0, largest) : largest;
+  if (!size) {
+    throw cli::UsageError("size-index expects " +
+                          cli::integer_range(0, largest) + ", got '" +
+                          args[2] + "'");
+  }
+  std::ifstream in(args[0]);
+  if (!in) throw Error("cannot open " + args[0]);
   const core::UnifiedModel model = core::deserialize_model(in);
-  const workload::BenchmarkDef& bench = workload::find_benchmark(argv[3]);
-  const std::size_t size = argc > 4
-                               ? static_cast<std::size_t>(std::stoul(argv[4]))
-                               : bench.size_count - 1;
 
   core::MeasurementRunner runner(model.gpu());
   profiler::CudaProfiler prof;
   runner.gpu().set_frequency_pair(sim::kDefaultPair);
   const profiler::ProfileResult counters =
-      prof.collect(runner.gpu(), runner.prepared_profile(bench, size));
+      prof.collect(runner.gpu(), runner.prepared_profile(bench, *size));
 
   const std::string unit =
       model.target() == core::TargetKind::Power ? "W" : "s";
   AsciiTable table({"pair", "predicted " + unit, "measured " + unit});
   for (sim::FrequencyPair pair : dvfs::configurable_pairs(model.gpu())) {
-    const core::Measurement m = runner.measure(bench, size, pair);
+    const core::Measurement m = runner.measure(bench, *size, pair);
     const double actual = model.target() == core::TargetKind::Power
                               ? m.avg_power.as_watts()
                               : m.exec_time.as_seconds();
@@ -339,24 +334,20 @@ int cmd_predict(int argc, char** argv) {
   return 0;
 }
 
-int cmd_governor(int argc, char** argv) {
-  // gppm governor <gpu> <bench> [bench...]
-  if (argc < 4) return usage();
-  const sim::GpuModel model = sim::parse_gpu(argv[2]);
+int cmd_governor(cli::Flags& flags) {
+  const std::vector<std::string> args = flags.parse(2, SIZE_MAX);
+  const sim::GpuModel model = sim::parse_gpu(args[0]);
 
   std::cout << "training models for " << sim::to_string(model) << "...\n";
-  const core::Dataset ds = core::build_dataset(model);
-  core::DvfsGovernor governor(
-      core::UnifiedModel::fit(ds, core::TargetKind::Power,
-                              core::extended_power_options()),
-      core::UnifiedModel::fit(ds, core::TargetKind::ExecTime));
+  ModelPair models = fit_model_pair(model);
+  core::DvfsGovernor governor(std::move(models.power), std::move(models.perf));
 
   core::MeasurementRunner runner(model);
   profiler::CudaProfiler prof;
 
   AsciiTable table({"phase", "pair", "energy J", "default J", "saving %"});
-  for (int i = 3; i < argc; ++i) {
-    const workload::BenchmarkDef& bench = workload::find_benchmark(argv[i]);
+  for (std::size_t i = 1; i < args.size(); ++i) {
+    const workload::BenchmarkDef& bench = workload::find_benchmark(args[i]);
     const sim::RunProfile profile =
         runner.prepared_profile(bench, bench.size_count - 1);
     runner.gpu().set_frequency_pair(governor.current_pair());
@@ -365,7 +356,7 @@ int cmd_governor(int argc, char** argv) {
     const core::Measurement chosen = runner.measure_profile(profile, pick);
     const core::Measurement def =
         runner.measure_profile(profile, sim::kDefaultPair);
-    table.add_row({argv[i], sim::to_string(pick),
+    table.add_row({args[i], sim::to_string(pick),
                    format_double(chosen.energy.as_joules(), 1),
                    format_double(def.energy.as_joules(), 1),
                    format_double((1.0 - chosen.energy / def.energy) * 100, 1)});
@@ -376,54 +367,38 @@ int cmd_governor(int argc, char** argv) {
   return 0;
 }
 
-int cmd_govern(int argc, char** argv) {
-  // gppm govern <gpu> [--policy energy|edp|perf-cap] [--phases N]
-  //             [--seed N] [--cap W] [--max-slowdown F] [--window N]
-  //             [--refit N] [--no-baselines]
-  if (argc < 3) return usage();
-  const sim::GpuModel model = sim::parse_gpu(argv[2]);
-
+int cmd_govern(cli::Flags& flags) {
   governor::LoopOptions opt;
-  std::size_t phase_count = 24;
-  std::uint64_t seed = 42;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) throw Error("missing value for " + arg);
-      return argv[++i];
-    };
-    if (arg == "--policy") {
-      const std::string p = next();
-      if (p == "energy") {
-        opt.governor.policy = core::GovernorPolicy::MinimumEnergy;
-      } else if (p == "edp") {
-        opt.governor.policy = core::GovernorPolicy::MinimumEdp;
-      } else if (p == "perf-cap") {
-        opt.governor.policy = core::GovernorPolicy::PowerCap;
-      } else {
-        throw Error("unknown policy '" + p + "' (energy/edp/perf-cap)");
-      }
-    } else if (arg == "--phases") phase_count = std::stoul(next());
-    else if (arg == "--seed") seed = std::stoull(next());
-    else if (arg == "--cap") opt.governor.power_cap = Power::watts(std::stod(next()));
-    else if (arg == "--max-slowdown") opt.governor.max_slowdown = std::stod(next());
-    else if (arg == "--window") opt.governor.refit.window = std::stoul(next());
-    else if (arg == "--refit") opt.governor.refit_interval = std::stoul(next());
-    else if (arg == "--no-baselines") opt.measure_baselines = false;
-    else return usage();
-  }
+  workload::PhaseScheduleOptions sched;
+  double cap_watts = opt.governor.power_cap.as_watts();
+  bool no_baselines = false;
+  const std::map<std::string, core::GovernorPolicy> policies = {
+      {"energy", core::GovernorPolicy::MinimumEnergy},
+      {"edp", core::GovernorPolicy::MinimumEdp},
+      {"perf-cap", core::GovernorPolicy::PowerCap}};
+  flags
+      .value("--policy", "one of energy|edp|perf-cap",
+             [&](const std::string& p) {
+               const auto it = policies.find(p);
+               if (it != policies.end()) opt.governor.policy = it->second;
+               return it != policies.end();
+             })
+      .count("--phases", sched.phases, 0, kMaxTrace)
+      .count("--seed", sched.seed, 0, cli::kAnyU64)
+      .number("--cap", cap_watts, 0.0, 10000.0)
+      .number("--max-slowdown", opt.governor.max_slowdown, 1.0, 100.0, true)
+      .count("--window", opt.governor.refit.window, 1, 1 << 20)
+      .count("--refit", opt.governor.refit_interval, 0, cli::kAnyU64)
+      .toggle("--no-baselines", no_baselines);
+  const sim::GpuModel model = sim::parse_gpu(flags.parse(1)[0]);
+  opt.governor.power_cap = Power::watts(cap_watts);
+  opt.measure_baselines = !no_baselines;
 
   std::cout << "training models for " << sim::to_string(model) << "...\n";
-  const core::Dataset ds = core::build_dataset(model);
-  governor::GovernorLoop loop(
-      model, ds,
-      core::UnifiedModel::fit(ds, core::TargetKind::Power,
-                              core::extended_power_options()),
-      core::UnifiedModel::fit(ds, core::TargetKind::ExecTime), opt);
+  ModelPair models = fit_model_pair(model);
+  governor::GovernorLoop loop(model, models.dataset, std::move(models.power),
+                              std::move(models.perf), opt);
 
-  workload::PhaseScheduleOptions sched;
-  sched.phases = phase_count;
-  sched.seed = seed;
   const std::vector<workload::Phase> phases = workload::phase_schedule(
       sched, profiler::CudaProfiler::unsupported_benchmarks());
 
@@ -468,80 +443,51 @@ int cmd_govern(int argc, char** argv) {
   return 0;
 }
 
-int cmd_serve(int argc, char** argv) {
-  // gppm serve <gpu> --listen PORT [--workers N] [--cache N] [--duration S]
-  //                  [--cluster N [--replicas R] [--supervise]
-  //                  [--admission]]
-  if (argc < 3) return usage();
-  const sim::GpuModel model = sim::parse_gpu(argv[2]);
-  bool listen = false;
-  std::uint16_t port = 0;
-  std::size_t workers = 4, cache = 1 << 16;
-  std::size_t cluster = 0, replicas = 2;
-  bool supervise = false, admission = false;
+int cmd_serve(cli::Flags& flags) {
+  serve::ServerOptions bopt;
+  cluster::FleetOptions fopt;
+  fopt.backends = 0;  // --cluster 0: one server, no fleet
+  cluster::RouterOptions ropt;
+  net::ServerOptions nopt;
+  bool supervise = false;
   double duration = 0.0;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--listen" && has_value) {
-      listen = true;
-      const unsigned long value = std::stoul(argv[++i]);
-      if (value > 65535) throw Error("port out of range");
-      port = static_cast<std::uint16_t>(value);
-    } else if (arg == "--workers" && has_value) {
-      workers = std::stoul(argv[++i]);
-    } else if (arg == "--cache" && has_value) {
-      cache = std::stoul(argv[++i]);
-    } else if (arg == "--duration" && has_value) {
-      duration = std::stod(argv[++i]);
-    } else if (arg == "--cluster" && has_value) {
-      cluster = std::stoul(argv[++i]);
-    } else if (arg == "--replicas" && has_value) {
-      replicas = std::stoul(argv[++i]);
-    } else if (arg == "--supervise") {
-      supervise = true;
-    } else if (arg == "--admission") {
-      admission = true;
-    } else {
-      return usage();
-    }
+  flags.count("--listen", nopt.port, 0, 65535)
+      .count("--workers", bopt.worker_threads, 1, kMaxThreads)
+      .count("--cache", bopt.cache_capacity, 0, kMaxCache)
+      .number("--duration", duration, 0.0, kMaxSeconds)
+      .count("--cluster", fopt.backends, 0, kMaxNodes)
+      .count("--replicas", ropt.replicas, 1, kMaxNodes)
+      .toggle("--supervise", supervise)
+      .toggle("--admission", ropt.admission_control);
+  const sim::GpuModel model = sim::parse_gpu(flags.parse(1)[0]);
+  if (!flags.given("--listen")) {
+    throw cli::UsageError("serve needs --listen PORT");
   }
-  if (!listen || workers == 0 || replicas == 0) return usage();
-  if ((supervise || admission) && cluster == 0) return usage();
+  if ((supervise || ropt.admission_control) && fopt.backends == 0) {
+    throw cli::UsageError("--supervise and --admission need --cluster N");
+  }
 
   std::cout << "fitting models for " << sim::to_string(model)
             << " (extended form)...\n";
-  const core::Dataset ds = core::build_dataset(model);
-  core::UnifiedModel power = core::UnifiedModel::fit(
-      ds, core::TargetKind::Power, core::extended_power_options());
-  core::UnifiedModel perf =
-      core::UnifiedModel::fit(ds, core::TargetKind::ExecTime);
-
-  serve::ServerOptions bopt;
-  bopt.worker_threads = workers;
-  bopt.cache_capacity = cache;
+  ModelPair models = fit_model_pair(model);
 
   // Single node or a routed fleet, behind the same TCP front.
   std::unique_ptr<serve::PredictionServer> backend;
   std::unique_ptr<cluster::LocalFleet> fleet;
   net::ServeBridge bridge;
-  if (cluster > 0) {
-    cluster::FleetOptions fopt;
-    fopt.backends = cluster;
+  if (fopt.backends > 0) {
     fopt.server = bopt;
-    cluster::RouterOptions ropt;
-    ropt.replicas = replicas;
-    ropt.admission_control = admission;
-    fleet = std::make_unique<cluster::LocalFleet>(std::move(power),
-                                                  std::move(perf), fopt, ropt);
+    fleet = std::make_unique<cluster::LocalFleet>(
+        std::move(models.power), std::move(models.perf), fopt, ropt);
     bridge = fleet->bridge();
-    std::cout << "cluster: " << cluster << " in-process backends, "
-              << replicas << " replicas per key"
+    std::cout << "cluster: " << fopt.backends << " in-process backends, "
+              << ropt.replicas << " replicas per key"
               << (supervise ? ", supervised" : "")
-              << (admission ? ", admission control" : "") << "\n";
+              << (ropt.admission_control ? ", admission control" : "")
+              << "\n";
   } else {
     backend = std::make_unique<serve::PredictionServer>(bopt);
-    backend->load_models(std::move(power), std::move(perf));
+    backend->load_models(std::move(models.power), std::move(models.perf));
     bridge = net::bridge_prediction_server(*backend);
   }
 
@@ -550,8 +496,6 @@ int cmd_serve(int argc, char** argv) {
     supervisor = std::make_unique<cluster::Supervisor>(*fleet);
   }
 
-  net::ServerOptions nopt;
-  nopt.port = port;
   net::Server server(std::move(bridge), nopt);
   std::cout << "listening on 127.0.0.1:" << server.port() << "\n"
             << std::flush;
@@ -608,52 +552,29 @@ int cmd_serve(int argc, char** argv) {
   return 0;
 }
 
-int cmd_serve_bench(int argc, char** argv) {
-  // gppm serve-bench <gpu> [--requests N] [--workers N] [--clients N]
-  //                        [--cache N] [--jitter F] [--all-sizes] [--csv]
-  //                        [--power-model FILE --perf-model FILE]
-  if (argc < 3) return usage();
-  sim::GpuModel model = sim::parse_gpu(argv[2]);
-  std::size_t requests = 5000, workers = 4, clients = 4, cache = 1 << 16;
-  double jitter = 0.0;
+int cmd_serve_bench(cli::Flags& flags) {
+  serve::ServerOptions sopt;
+  serve::TraceOptions topt = {.request_count = 5000};
+  std::size_t clients = 4;
   bool all_sizes = false, csv = false;
   std::string power_path, perf_path;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--requests" && has_value) {
-      requests = std::stoul(argv[++i]);
-    } else if (arg == "--workers" && has_value) {
-      workers = std::stoul(argv[++i]);
-    } else if (arg == "--clients" && has_value) {
-      clients = std::stoul(argv[++i]);
-    } else if (arg == "--cache" && has_value) {
-      cache = std::stoul(argv[++i]);
-    } else if (arg == "--jitter" && has_value) {
-      jitter = std::stod(argv[++i]);
-    } else if (arg == "--all-sizes") {
-      all_sizes = true;
-    } else if (arg == "--csv") {
-      csv = true;
-    } else if (arg == "--power-model" && has_value) {
-      power_path = argv[++i];
-    } else if (arg == "--perf-model" && has_value) {
-      perf_path = argv[++i];
-    } else {
-      return usage();
-    }
-  }
-  if (requests == 0 || workers == 0 || clients == 0 ||
-      power_path.empty() != perf_path.empty()) {
-    return usage();
+  flags.count("--requests", topt.request_count, 1, kMaxTrace)
+      .count("--workers", sopt.worker_threads, 1, kMaxThreads)
+      .count("--clients", clients, 1, kMaxThreads)
+      .count("--cache", sopt.cache_capacity, 0, kMaxCache)
+      .number("--jitter", topt.counter_jitter, 0.0, 1.0)
+      .toggle("--all-sizes", all_sizes)
+      .toggle("--csv", csv)
+      .text("--power-model", power_path)
+      .text("--perf-model", perf_path);
+  sim::GpuModel model = sim::parse_gpu(flags.parse(1)[0]);
+  if (power_path.empty() != perf_path.empty()) {
+    throw cli::UsageError("--power-model and --perf-model go together");
   }
   // Ctrl-C drains the replay: clients launch nothing new, the partial
   // report prints, the obs artifacts flush, and the exit code is 0.
   install_shutdown_handler();
 
-  serve::ServerOptions sopt;
-  sopt.worker_threads = workers;
-  sopt.cache_capacity = cache;
   serve::PredictionServer server(sopt);
   if (!power_path.empty()) {
     // The trace must target the board the files were fitted for, which
@@ -664,22 +585,16 @@ int cmd_serve_bench(int argc, char** argv) {
   } else {
     std::cout << "fitting models for " << sim::to_string(model)
               << " (extended form)...\n";
-    const core::Dataset ds = core::build_dataset(model);
-    server.load_models(
-        core::UnifiedModel::fit(ds, core::TargetKind::Power,
-                                core::extended_power_options()),
-        core::UnifiedModel::fit(ds, core::TargetKind::ExecTime));
+    ModelPair models = fit_model_pair(model);
+    server.load_models(std::move(models.power), std::move(models.perf));
   }
 
   const serve::PhaseCorpus corpus =
       serve::build_phase_corpus(model, all_sizes);
-  serve::TraceOptions topt;
-  topt.request_count = requests;
-  topt.counter_jitter = jitter;
   const std::vector<serve::Request> trace = serve::synthetic_trace(corpus, topt);
   std::cout << corpus.counters.size() << " phases, " << trace.size()
-            << " requests, " << clients << " closed-loop clients, " << workers
-            << " workers\n";
+            << " requests, " << clients << " closed-loop clients, "
+            << sopt.worker_threads << " workers\n";
 
   const serve::ReplayResult replayed = serve::replay(
       trace,
@@ -709,32 +624,17 @@ int cmd_serve_bench(int argc, char** argv) {
 struct LoadgenOptions {
   std::string host;
   std::uint16_t port = 0;
-  std::size_t requests = 2000;
-  std::size_t connections = 4;
-  double open_loop_rate = 0.0;  // 0 = closed loop
-  double jitter = 0.0;
+  serve::TraceOptions trace = {.request_count = 2000};
+  serve::ReplayOptions replay;  // workers = --connections
+  cluster::RouterOptions router;  // --replicas --admission
   bool chaos = false;
-  std::uint64_t seed = 42;
   std::size_t cluster = 0;  // 0 = wire mode (--connect)
-  std::size_t replicas = 2;
   std::string gpu = "gtx460";
   double drain_every_ms = 0.0;  // 0 = no drain scheduler
   bool rolling_restart = false;
   bool supervise = false;
-  bool admission = false;
   double deadline_ms = 0.0;  // 0 = no per-request deadline
 };
-
-void parse_connect(const std::string& value, LoadgenOptions& opt) {
-  const std::size_t colon = value.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == value.size()) {
-    throw Error("--connect expects HOST:PORT, got '" + value + "'");
-  }
-  opt.host = value.substr(0, colon);
-  const unsigned long port = std::stoul(value.substr(colon + 1));
-  if (port == 0 || port > 65535) throw Error("port out of range");
-  opt.port = static_cast<std::uint16_t>(port);
-}
 
 void print_loop_shape(double open_loop_rate) {
   if (open_loop_rate > 0.0) {
@@ -773,24 +673,17 @@ int loadgen_cluster(const LoadgenOptions& opt) {
   const sim::GpuModel board = sim::parse_gpu(opt.gpu);
   std::cout << "fitting models for " << sim::to_string(board)
             << " (extended form)...\n";
-  const core::Dataset ds = core::build_dataset(board);
-  const core::UnifiedModel power = core::UnifiedModel::fit(
-      ds, core::TargetKind::Power, core::extended_power_options());
-  const core::UnifiedModel perf =
-      core::UnifiedModel::fit(ds, core::TargetKind::ExecTime);
+  const ModelPair models = fit_model_pair(board);
 
   const serve::PhaseCorpus corpus = serve::build_phase_corpus(board);
-  serve::TraceOptions topt;
-  topt.request_count = opt.requests;
-  topt.seed = opt.seed;
-  topt.counter_jitter = opt.jitter;
+  serve::TraceOptions topt = opt.trace;
   // Govern is stateful (hysteresis across requests), so replicated serving
   // cannot promise bit-identity for it; the cluster trace sticks to the
   // pure endpoints.
   topt.govern_fraction = 0.0;
   std::vector<serve::Request> trace = serve::synthetic_trace(corpus, topt);
   const std::vector<serve::Response> truth =
-      serve::reference_answers(trace, power, perf);
+      serve::reference_answers(trace, models.power, models.perf);
 
   // Deadlines are stamped after the ground truth is computed, so the
   // reference answers stay the pure, deadline-free responses the gate
@@ -802,39 +695,35 @@ int loadgen_cluster(const LoadgenOptions& opt) {
   }
 
   fault::FaultInjector injector(fault::FaultPlan::cluster_profile(),
-                                opt.seed);
+                                opt.trace.seed);
   cluster::FleetOptions fopt;
   fopt.backends = opt.cluster;
   if (opt.chaos) {
     fopt.wire = true;
     fopt.injector = &injector;
-    fopt.client.retry.max_attempts = 8;
-    fopt.client.retry.initial_backoff = Duration::milliseconds(1.0);
-    fopt.client.retry.max_backoff = Duration::milliseconds(50.0);
+    use_chaos_retry(fopt.client);
   }
-  cluster::RouterOptions ropt;
-  ropt.replicas = opt.replicas;
+  cluster::RouterOptions ropt = opt.router;
   if (opt.chaos) ropt.injector = &injector;
-  ropt.admission_control = opt.admission;
-  cluster::LocalFleet fleet(power, perf, fopt, ropt);
+  cluster::LocalFleet fleet(models.power, models.perf, fopt, ropt);
 
   std::cout << corpus.counters.size() << " phases, " << trace.size()
             << " requests, " << opt.cluster << " backends ("
-            << (opt.chaos ? "wire" : "in-process") << "), " << opt.replicas
-            << " replicas per key, " << opt.connections << " workers, ";
-  print_loop_shape(opt.open_loop_rate);
+            << (opt.chaos ? "wire" : "in-process") << "), " << ropt.replicas
+            << " replicas per key, " << opt.replay.workers << " workers, ";
+  print_loop_shape(opt.replay.rate);
 
   // The supervisor owns recovery under --supervise: the reaper only
   // kills, and the probe → backoff → restart loop brings nodes back.
   std::unique_ptr<cluster::Supervisor> supervisor;
   if (opt.supervise) {
     cluster::SupervisorOptions sup;
-    sup.seed = opt.seed;
+    sup.seed = opt.trace.seed;
     if (opt.chaos) sup.injector = &injector;
     supervisor = std::make_unique<cluster::Supervisor>(fleet, sup);
   }
   cluster::DisturberOptions dopt;
-  dopt.seed = opt.seed;
+  dopt.seed = opt.trace.seed;
   dopt.kills = opt.chaos;
   dopt.drain_every = Duration::milliseconds(opt.drain_every_ms);
   dopt.rolling = opt.rolling_restart;
@@ -848,7 +737,7 @@ int loadgen_cluster(const LoadgenOptions& opt) {
   const serve::ReplayResult result = serve::replay(
       trace,
       [&fleet](const serve::Request& r) { return fleet.router().predict(r); },
-      {opt.connections, opt.open_loop_rate}, truth);
+      opt.replay, truth);
   const cluster::DisturbReport disturbed = disturber.stop();
   if (supervisor) supervisor->stop();
 
@@ -866,7 +755,7 @@ int loadgen_cluster(const LoadgenOptions& opt) {
             << " abandoned), " << rs.failovers << " failovers, "
             << rs.breaker_opens << " breaker opens, " << rs.breaker_rejections
             << " breaker rejections, " << rs.exhausted << " exhausted\n";
-  if (rs.drains > 0 || opt.admission) {
+  if (rs.drains > 0 || ropt.admission_control) {
     std::cout << rs.drains << " drains (" << rs.drain_handed_off
               << " requests handed off), " << rs.admission_shed
               << " shed by admission\n";
@@ -897,7 +786,7 @@ int loadgen_cluster(const LoadgenOptions& opt) {
   // The full disturbance history, one event per line: two same-seed runs
   // emit identical logs (diff them to prove a repro).
   if (!disturbed.event_log.empty()) {
-    std::cout << "event log (seed " << opt.seed << "):\n"
+    std::cout << "event log (seed " << opt.trace.seed << "):\n"
               << disturbed.event_log;
   }
   fleet.stop();
@@ -930,16 +819,13 @@ int loadgen_cluster(const LoadgenOptions& opt) {
 /// Wire mode: replay a trace for the first board a running
 /// `gppm serve --listen` announces.
 int loadgen_wire(const LoadgenOptions& opt) {
-  fault::FaultInjector injector(fault::FaultPlan::net_profile(), opt.seed);
+  fault::FaultInjector injector(fault::FaultPlan::net_profile(),
+                                opt.trace.seed);
   net::ClientOptions copt;
   copt.host = opt.host;
   copt.port = opt.port;
-  copt.pool_size = opt.connections;
-  if (opt.chaos) {
-    copt.retry.max_attempts = 8;
-    copt.retry.initial_backoff = Duration::milliseconds(1.0);
-    copt.retry.max_backoff = Duration::milliseconds(50.0);
-  }
+  copt.pool_size = opt.replay.workers;
+  if (opt.chaos) use_chaos_retry(copt);
   net::Client client(copt, opt.chaos ? &injector : nullptr);
 
   client.ping();
@@ -954,23 +840,19 @@ int loadgen_wire(const LoadgenOptions& opt) {
   std::cout << "\nbuilding " << sim::to_string(board) << " phase corpus...\n";
 
   const serve::PhaseCorpus corpus = serve::build_phase_corpus(board);
-  serve::TraceOptions topt;
-  topt.request_count = opt.requests;
-  topt.seed = opt.seed;
-  topt.counter_jitter = opt.jitter;
   const std::vector<serve::Request> trace =
-      serve::synthetic_trace(corpus, topt);
+      serve::synthetic_trace(corpus, opt.trace);
 
   std::cout << corpus.counters.size() << " phases, " << trace.size()
-            << " requests, " << opt.connections << " connections, ";
-  print_loop_shape(opt.open_loop_rate);
+            << " requests, " << opt.replay.workers << " connections, ";
+  print_loop_shape(opt.replay.rate);
 
   // A call that throws (retries exhausted under chaos, or the server went
   // away) is counted, not fatal: the report shows partial failure.
   const serve::ReplayResult result = serve::replay(
       trace,
       [&client](const serve::Request& r) { return client.predict(r); },
-      {opt.connections, opt.open_loop_rate});
+      opt.replay);
 
   AsciiTable table({"metric", "value"});
   table.add_row({"answered", std::to_string(result.answered())});
@@ -994,56 +876,45 @@ int loadgen_wire(const LoadgenOptions& opt) {
   return result.failed == trace.size() ? 1 : 0;
 }
 
-int cmd_loadgen(int argc, char** argv) {
-  // gppm loadgen --connect HOST:PORT | --cluster N [options]
+int cmd_loadgen(cli::Flags& flags) {
   LoadgenOptions opt;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--help" || arg == "-h") return usage(std::cout, 0);
-    if (arg == "--connect" && has_value) {
-      parse_connect(argv[++i], opt);
-    } else if (arg == "--cluster" && has_value) {
-      opt.cluster = std::stoul(argv[++i]);
-    } else if (arg == "--replicas" && has_value) {
-      opt.replicas = std::stoul(argv[++i]);
-    } else if (arg == "--gpu" && has_value) {
-      opt.gpu = argv[++i];
-    } else if (arg == "--requests" && has_value) {
-      opt.requests = std::stoul(argv[++i]);
-    } else if (arg == "--connections" && has_value) {
-      opt.connections = std::stoul(argv[++i]);
-    } else if (arg == "--open-loop" && has_value) {
-      opt.open_loop_rate = std::stod(argv[++i]);
-    } else if (arg == "--jitter" && has_value) {
-      opt.jitter = std::stod(argv[++i]);
-    } else if (arg == "--chaos") {
-      opt.chaos = true;
-    } else if (arg == "--seed" && has_value) {
-      opt.seed = std::stoull(argv[++i]);
-    } else if (arg == "--drain-every" && has_value) {
-      opt.drain_every_ms = std::stod(argv[++i]);
-    } else if (arg == "--rolling-restart") {
-      opt.rolling_restart = true;
-    } else if (arg == "--supervise") {
-      opt.supervise = true;
-    } else if (arg == "--admission") {
-      opt.admission = true;
-    } else if (arg == "--deadline-ms" && has_value) {
-      opt.deadline_ms = std::stod(argv[++i]);
-    } else {
-      return usage();
-    }
-  }
-  const bool wire = !opt.host.empty();
+  flags
+      .value("--connect", "HOST:PORT with PORT in [1, 65535]",
+             [&opt](const std::string& value) {
+               const std::size_t colon = value.rfind(':');
+               if (colon == std::string::npos || colon == 0) return false;
+               const std::optional<std::uint64_t> port =
+                   cli::to_integer(value.substr(colon + 1), 1, 65535);
+               if (!port) return false;
+               opt.host = value.substr(0, colon);
+               opt.port = static_cast<std::uint16_t>(*port);
+               return true;
+             })
+      .count("--cluster", opt.cluster, 0, kMaxNodes)
+      .count("--replicas", opt.router.replicas, 1, kMaxNodes)
+      .text("--gpu", opt.gpu)
+      .count("--requests", opt.trace.request_count, 1, kMaxTrace)
+      .count("--connections", opt.replay.workers, 1, kMaxThreads)
+      .number("--open-loop", opt.replay.rate, kMinRate, kMaxRate, true)
+      .number("--jitter", opt.trace.counter_jitter, 0.0, 1.0)
+      .toggle("--chaos", opt.chaos)
+      .count("--seed", opt.trace.seed, 0, cli::kAnyU64)
+      .number("--drain-every", opt.drain_every_ms, 0.0, kMaxSeconds * 1e3)
+      .toggle("--rolling-restart", opt.rolling_restart)
+      .toggle("--supervise", opt.supervise)
+      .toggle("--admission", opt.router.admission_control)
+      .number("--deadline-ms", opt.deadline_ms, 0.0, kMaxSeconds * 1e3);
+  flags.parse();
   const bool fleet = opt.cluster > 0;
-  if (wire == fleet || opt.requests == 0 || opt.connections == 0 ||
-      opt.replicas == 0) {
-    return usage();
+  if (flags.given("--connect") == fleet) {
+    throw cli::UsageError("loadgen needs one of --connect HOST:PORT and "
+                          "--cluster N");
   }
   if (!fleet && (opt.drain_every_ms > 0.0 || opt.rolling_restart ||
-                 opt.supervise || opt.admission || opt.deadline_ms > 0.0)) {
-    return usage();  // reconfiguration flags are --cluster only
+                 opt.supervise || opt.router.admission_control ||
+                 opt.deadline_ms > 0.0)) {
+    throw cli::UsageError("--drain-every, --rolling-restart, --supervise, "
+                          "--admission and --deadline-ms need --cluster N");
   }
   // Ctrl-C drains the run: workers start nothing new, the partial report
   // prints, the obs artifacts flush, and the exit code is 0 (divergence
@@ -1052,27 +923,19 @@ int cmd_loadgen(int argc, char** argv) {
   return fleet ? loadgen_cluster(opt) : loadgen_wire(opt);
 }
 
-int cmd_chaos(int argc, char** argv) {
-  // gppm chaos <gpu> [--fault-profile FILE] [--seed N] [--benchmarks N]
-  if (argc < 3) return usage();
-  const sim::GpuModel model = sim::parse_gpu(argv[2]);
-  fault::FaultPlan plan = fault::FaultPlan::default_profile();
+int cmd_chaos(cli::Flags& flags) {
+  std::string profile_path;
   std::uint64_t seed = 7;
   std::size_t benchmark_limit = 0;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--fault-profile" && has_value) {
-      std::ifstream in(argv[++i]);
-      if (!in) throw Error(std::string("cannot open ") + argv[i]);
-      plan = fault::FaultPlan::parse(in);
-    } else if (arg == "--seed" && has_value) {
-      seed = std::stoull(argv[++i]);
-    } else if (arg == "--benchmarks" && has_value) {
-      benchmark_limit = std::stoul(argv[++i]);
-    } else {
-      return usage();
-    }
+  flags.text("--fault-profile", profile_path)
+      .count("--seed", seed, 0, cli::kAnyU64)
+      .count("--benchmarks", benchmark_limit, 0, cli::kAnyU64);
+  const sim::GpuModel model = sim::parse_gpu(flags.parse(1)[0]);
+  fault::FaultPlan plan = fault::FaultPlan::default_profile();
+  if (!profile_path.empty()) {
+    std::ifstream in(profile_path);
+    if (!in) throw Error("cannot open " + profile_path);
+    plan = fault::FaultPlan::parse(in);
   }
 
   std::cout << "fault profile:\n" << plan.to_string();
@@ -1101,38 +964,18 @@ int cmd_chaos(int argc, char** argv) {
   return report.divergent_count() == 0 ? 0 : 1;
 }
 
-int cmd_mix(int argc, char** argv) {
-  // gppm mix <gpu> [--mixes N] [--degree D] [--seed N] [--fit]
-  if (argc < 3) return usage();
-  const sim::GpuModel model = sim::parse_gpu(argv[2]);
-  std::size_t mixes = 8;
-  std::size_t degree = 2;
-  std::uint64_t seed = 42;
+int cmd_mix(cli::Flags& flags) {
+  mix::MixScheduleOptions sched = {.mixes = 8};
   bool fit = false;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--mixes" && has_value) {
-      mixes = std::stoul(argv[++i]);
-    } else if (arg == "--degree" && has_value) {
-      degree = std::stoul(argv[++i]);
-    } else if (arg == "--seed" && has_value) {
-      seed = std::stoull(argv[++i]);
-    } else if (arg == "--fit") {
-      fit = true;
-    } else {
-      return usage();
-    }
-  }
-  if (mixes == 0) return usage();
-
-  mix::MixScheduleOptions sched;
-  sched.mixes = mixes;
-  sched.degree = degree;
-  sched.seed = seed;
+  flags.count("--mixes", sched.mixes, 1, kMaxTrace)
+      .count("--degree", sched.degree, mix::kMinMixDegree,
+             mix::kMaxMixDegree)
+      .count("--seed", sched.seed, 0, cli::kAnyU64)
+      .toggle("--fit", fit);
+  const sim::GpuModel model = sim::parse_gpu(flags.parse(1)[0]);
   const std::vector<mix::ScheduledMix> schedule = mix::mix_schedule(
       sched, profiler::CudaProfiler::unsupported_benchmarks());
-  mix::MixEngine engine(model, seed);
+  mix::MixEngine engine(model, sched.seed);
 
   AsciiTable table({"mix", "member", "share", "solo s", "contended s",
                     "slowdown", "co-bw"});
@@ -1155,7 +998,7 @@ int cmd_mix(int argc, char** argv) {
                    format_double(run.contention_factor, 2) + " cf", ""});
   }
   table.print(std::cout);
-  std::cout << schedule.size() << " mixes of degree " << degree << " on "
+  std::cout << schedule.size() << " mixes of degree " << sched.degree << " on "
             << sim::to_string(model) << ", worst member slowdown "
             << format_double(worst_slowdown, 2) << "x\n";
 
@@ -1164,8 +1007,8 @@ int cmd_mix(int argc, char** argv) {
                "solo + mix families...\n";
   mix::MixCorpusOptions copt;
   copt.mixes = 32;
-  copt.degree = degree;
-  copt.seed = seed;
+  copt.degree = sched.degree;
+  copt.seed = sched.seed;
   const mix::MixCorpus corpus = mix::build_mix_corpus(model, copt);
   core::ModelOptions mopt;
   mopt.max_variables = 5;
@@ -1185,7 +1028,8 @@ int cmd_mix(int argc, char** argv) {
   return ev.passes() ? 0 : 1;
 }
 
-int cmd_obs_demo() {
+int cmd_obs_demo(cli::Flags& flags) {
+  flags.parse();
   // A small pass through every instrumented layer, so the obs wiring can be
   // eyeballed end to end: a resilient sweep under a light fault plan (sweep.*
   // counters + spans), a parallel forward selection (select.* and parallel.*),
@@ -1241,33 +1085,35 @@ int cmd_obs_demo() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Observability flags are global: strip them before command dispatch, and
-  // flush the requested artifacts after the command finishes (also on a
-  // nonzero exit, so a divergent chaos run still leaves its trace behind).
+  const std::map<std::string, int (*)(cli::Flags&)> commands = {
+      {"specs", cmd_specs}, {"pairs", cmd_pairs}, {"counters", cmd_counters},
+      {"trace", cmd_trace}, {"benchmarks", cmd_benchmarks},
+      {"sweep", cmd_sweep}, {"fit", cmd_fit}, {"predict", cmd_predict},
+      {"governor", cmd_governor}, {"govern", cmd_govern},
+      {"serve", cmd_serve}, {"serve-bench", cmd_serve_bench},
+      {"loadgen", cmd_loadgen}, {"chaos", cmd_chaos}, {"mix", cmd_mix},
+      {"obs-demo", cmd_obs_demo}};
+  // Every command takes the observability flags: either one enables
+  // gppm::obs once the command line has parsed, and the requested
+  // artifacts flush after the command finishes (also on a nonzero exit, so
+  // a divergent chaos run still leaves its trace behind).
   std::string trace_out;
   std::string metrics_out;
-  std::vector<char*> args;
-  args.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--trace-out" && has_value) {
-      trace_out = argv[++i];
-    } else if (starts_with(arg, "--trace-out=")) {
-      trace_out = arg.substr(std::string("--trace-out=").size());
-    } else if (arg == "--metrics-out" && has_value) {
-      metrics_out = argv[++i];
-    } else if (starts_with(arg, "--metrics-out=")) {
-      metrics_out = arg.substr(std::string("--metrics-out=").size());
-    } else {
-      args.push_back(argv[i]);
+  try {
+    if (argc < 2) throw cli::UsageError("missing command");
+    const std::string cmd = argv[1];
+    if (cmd == "--help" || cmd == "-h" || cmd == "help") {
+      throw cli::HelpRequested{};
     }
-  }
-  if (!trace_out.empty() || !metrics_out.empty()) obs::set_enabled(true);
-  argc = static_cast<int>(args.size());
-  argv = args.data();
-
-  const auto flush_obs = [&] {
+    const auto command = commands.find(cmd);
+    if (command == commands.end()) {
+      throw cli::UsageError("unknown command '" + cmd + "'");
+    }
+    cli::Flags flags({argv + 2, argv + argc}, [&] {
+      if (!trace_out.empty() || !metrics_out.empty()) obs::set_enabled(true);
+    });
+    flags.text("--trace-out", trace_out).text("--metrics-out", metrics_out);
+    const int rc = command->second(flags);
     if (!trace_out.empty()) {
       obs::write_trace_file(trace_out);
       std::cout << "trace written to " << trace_out << " ("
@@ -1278,37 +1124,12 @@ int main(int argc, char** argv) {
       obs::write_metrics_file(metrics_out);
       std::cout << "metrics written to " << metrics_out << "\n";
     }
-  };
-
-  try {
-    if (argc < 2) return usage();
-    const std::string cmd = argv[1];
-    if (cmd == "--help" || cmd == "-h" || cmd == "help") {
-      return usage(std::cout, 0);
-    }
-    int rc = 2;
-    if (cmd == "specs") rc = cmd_specs();
-    else if (cmd == "pairs" && argc == 3) rc = cmd_pairs(argv[2]);
-    else if (cmd == "counters" && argc == 3) rc = cmd_counters(argv[2]);
-    else if (cmd == "trace" && argc == 3) rc = cmd_trace(argv[2]);
-    else if (cmd == "benchmarks") rc = cmd_benchmarks();
-    else if (cmd == "sweep" && argc == 4) rc = cmd_sweep(argv[2], argv[3]);
-    else if (cmd == "fit") rc = cmd_fit(argc, argv);
-    else if (cmd == "predict") rc = cmd_predict(argc, argv);
-    else if (cmd == "governor") rc = cmd_governor(argc, argv);
-    else if (cmd == "govern") rc = cmd_govern(argc, argv);
-    else if (cmd == "serve") rc = cmd_serve(argc, argv);
-    else if (cmd == "serve-bench") rc = cmd_serve_bench(argc, argv);
-    else if (cmd == "loadgen") rc = cmd_loadgen(argc, argv);
-    else if (cmd == "chaos") rc = cmd_chaos(argc, argv);
-    else if (cmd == "mix") rc = cmd_mix(argc, argv);
-    else if (cmd == "obs-demo") rc = cmd_obs_demo();
-    else return usage();
-    flush_obs();
     return rc;
-  } catch (const Error& e) {
+  } catch (const cli::HelpRequested&) {
+    return usage(std::cout, 0);
+  } catch (const cli::UsageError& e) {
     std::cerr << "error: " << e.what() << "\n";
-    return 1;
+    return usage(std::cerr, 2);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -12,7 +12,9 @@
 #      mix) —
 #      the cluster one covers the membership-churn hammer and the 3-node
 #      kill/restart chaos suite, the governor one the online
-#      decide/observe/refit loop over the shared compute pool;
+#      decide/observe/refit loop over the shared compute pool, and the
+#      cluster, governor and mix labels their bench.*_smoke entries; the
+#      stage fails after all seven ran, naming each failed target;
 #   4. ASan:   -DGPPM_SANITIZE=address build, then the chaos_smoke and
 #      simd_smoke targets (fault-injection/chaos suites, plus the
 #      zero-copy span-aliasing fuzz where ASan can catch a dangling
@@ -64,16 +66,22 @@ fi
 echo "-- fingerprints bit-identical across builds"
 
 echo "== TSan: build + concurrency smoke targets =="
-cmake -B "$repo/build-tsan" -S "$repo" -DGPPM_SANITIZE=thread >/dev/null
+cmake -B "$repo/build-tsan" -S "$repo" -DGPPM_SANITIZE=thread \
+  -DGPPM_BUILD_BENCHES=ON >/dev/null
 cmake --build "$repo/build-tsan" -j"$jobs" \
   --target test_common test_linalg test_stats test_serve test_obs \
-           test_net test_cluster test_governor test_mix
+           test_net test_cluster test_governor test_mix \
+           bench_cluster_throughput bench_governor bench_mix
+tsan_failed=""
 for target in parallel_smoke serve_smoke obs_smoke net_smoke cluster_smoke \
               governor_smoke mix_smoke
 do
   echo "-- $target"
-  cmake --build "$repo/build-tsan" --target "$target"
+  cmake --build "$repo/build-tsan" --target "$target" \
+    || tsan_failed="$tsan_failed $target"
 done
+[ -z "$tsan_failed" ] \
+  || { echo "FAIL: TSan smoke targets failed:$tsan_failed" >&2; exit 1; }
 
 echo "== ASan: build + smokes + linalg/stats/net/cluster suites =="
 cmake -B "$repo/build-asan" -S "$repo" -DGPPM_SANITIZE=address >/dev/null
