@@ -192,13 +192,16 @@ std::vector<serve::Response> Client::predict_batch(
 
   const std::uint64_t base = next_request_id_.fetch_add(
       requests.size(), std::memory_order_relaxed);
+  // One scratch payload writer for the whole batch, and each frame appended
+  // straight onto the batch buffer: no temporaries per request.
   std::vector<std::uint8_t> bytes;
+  WireWriter payload;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const std::vector<std::uint8_t> one = encode_frame(
-        FrameType::PredictRequest, encode_predict_request(base + i, requests[i]),
-        deadline_to_micros(requests[i].deadline),
-        predict_request_version(requests[i]));
-    bytes.insert(bytes.end(), one.begin(), one.end());
+    payload.clear();
+    const std::uint8_t version =
+        encode_predict_request_into(payload, base + i, requests[i]);
+    encode_frame_into(bytes, FrameType::PredictRequest, payload.data(),
+                      deadline_to_micros(requests[i].deadline), version);
   }
 
   Conn& conn =
@@ -253,10 +256,11 @@ std::vector<serve::Response> Client::predict_batch(
 serve::Response Client::predict(const serve::Request& request) {
   const std::uint64_t id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  const Frame frame =
-      call(FrameType::PredictRequest, encode_predict_request(id, request),
-           deadline_to_micros(request.deadline),
-           predict_request_version(request));
+  WireWriter payload;
+  const std::uint8_t version =
+      encode_predict_request_into(payload, id, request);
+  const Frame frame = call(FrameType::PredictRequest, payload.data(),
+                           deadline_to_micros(request.deadline), version);
   if (frame.header.type != FrameType::PredictResponse) {
     throw ProtocolError("expected PredictResponse, got " +
                         to_string(frame.header.type));

@@ -62,7 +62,10 @@ void encode_frame_into(std::vector<std::uint8_t>& out, FrameType type,
     head[16 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(deadline_micros >> (8 * i));
   }
-  out.reserve(out.size() + kFrameHeaderSize + payload.size());
+  // Grow geometrically: a batch appends frame after frame to one buffer,
+  // and an exact-fit reserve would reallocate (and copy) on every frame.
+  const std::size_t need = out.size() + kFrameHeaderSize + payload.size();
+  if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
   out.insert(out.end(), head.begin(), head.end());
   out.insert(out.end(), payload.begin(), payload.end());
 }

@@ -37,12 +37,17 @@ namespace gppm::net {
 
 inline constexpr std::array<std::uint8_t, 4> kFrameMagic = {'G', 'P', 'P',
                                                             'M'};
-/// Highest protocol version this build speaks.  Version 2 added the
-/// health frame pair (HealthRequest/HealthResponse); version 3 added the
-/// optional tenant-id trailer on PredictRequest payloads (tenant-0
-/// requests keep the version-1 byte layout, so legacy peers interoperate
-/// untouched until a nonzero tenant actually rides the wire).
-inline constexpr std::uint8_t kProtocolVersion = 3;
+/// Highest protocol version this build speaks.  Version history:
+///  - 2 added the health frame pair (HealthRequest/HealthResponse);
+///  - 3 added the optional tenant-id trailer on PredictRequest payloads
+///    (tenant-0 requests keep the version-1 byte layout);
+///  - 4 added the dense PredictRequest counter body: a profile that is
+///    exactly its board's counter catalog crosses as a catalog id plus one
+///    (total, per-second) pair per catalog index instead of 108 names.
+/// Each newer layout is stamped only on the frames that use it, so an
+/// older peer keeps working until such a frame actually rides the wire,
+/// and then rejects it with a typed error instead of mis-parsing it.
+inline constexpr std::uint8_t kProtocolVersion = 4;
 /// The original wire version.  Every pre-health frame type is still
 /// emitted at this version so a v1-only peer interoperates untouched on
 /// the predict path; only the newer frame kinds ride a v2 header, which a
@@ -50,9 +55,10 @@ inline constexpr std::uint8_t kProtocolVersion = 3;
 /// instead of mis-parsing.
 inline constexpr std::uint8_t kBaseProtocolVersion = 1;
 inline constexpr std::size_t kFrameHeaderSize = 24;
-/// Default per-frame payload cap.  A full Kepler counter vector with names
-/// is ~5 KiB; 1 MiB leaves two orders of magnitude of headroom while
-/// bounding what one frame can make a peer buffer.
+/// Default per-frame payload cap.  A full Kepler (108-counter) predict
+/// request is ~1.8 KiB dense and ~4.4 KiB in the name form; 1 MiB leaves
+/// two orders of magnitude of headroom while bounding what one frame can
+/// make a peer buffer.
 inline constexpr std::size_t kDefaultMaxPayload = 1u << 20;
 
 /// Message kinds understood by this protocol version.

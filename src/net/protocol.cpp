@@ -1,6 +1,10 @@
 #include "net/protocol.hpp"
 
 #include <cmath>
+#include <optional>
+
+#include "gpusim/device_spec.hpp"
+#include "profiler/counters.hpp"
 
 namespace gppm::net {
 
@@ -28,8 +32,42 @@ sim::FrequencyPair decode_pair(WireReader& r) {
   return pair;
 }
 
+/// Counter-count value that marks a dense (v4) counter body.  The name
+/// form cannot carry it: 65,535 readings of at least 19 bytes each exceed
+/// the 1 MiB payload cap, and the encoder refuses that many.
+constexpr std::uint16_t kDenseMarker = 0xffff;
+
+/// Bytes before the counter body: request id, kind, gpu, policy, pair.
+constexpr std::size_t kRequestHeadBytes = 13;
+
+/// The architecture whose counter catalog `request`'s readings are exactly
+/// (same count, order, names and classes), or nullopt: such a request
+/// crosses the wire in the dense form.
+std::optional<sim::Architecture> dense_architecture(
+    const serve::Request& request) {
+  const sim::Architecture arch = sim::device_spec(request.gpu).architecture;
+  const std::vector<profiler::CounterDef>& catalog =
+      profiler::counter_catalog(arch);
+  const std::vector<profiler::CounterReading>& readings =
+      request.counters.counters;
+  if (readings.size() != catalog.size()) return std::nullopt;
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    if (readings[i].klass != catalog[i].klass ||
+        readings[i].name != catalog[i].name) {
+      return std::nullopt;
+    }
+  }
+  return arch;
+}
+
+/// The frame version a PredictRequest payload in the given form requires.
+std::uint8_t request_version(bool dense, const serve::Request& request) {
+  if (dense) return kDenseRequestVersion;
+  return request.tenant != 0 ? 3 : kBaseProtocolVersion;
+}
+
 void encode_counters(WireWriter& w, const profiler::ProfileResult& counters) {
-  GPPM_CHECK(counters.counters.size() <= 0xffff, "too many counters");
+  GPPM_CHECK(counters.counters.size() < kDenseMarker, "too many counters");
   w.u16(static_cast<std::uint16_t>(counters.counters.size()));
   for (const profiler::CounterReading& c : counters.counters) {
     w.str(c.name);
@@ -40,9 +78,21 @@ void encode_counters(WireWriter& w, const profiler::ProfileResult& counters) {
   w.f64(counters.run_time.as_seconds());
 }
 
-profiler::ProfileResult decode_counters(WireReader& r) {
+/// Dense body: catalog id, run time, then (total, per-second) per catalog
+/// index.  The names and classes are the catalog's, so none are written.
+void encode_dense_counters(WireWriter& w, sim::Architecture arch,
+                           const profiler::ProfileResult& counters) {
+  w.u16(kDenseMarker);
+  w.u64(profiler::catalog_id(arch));
+  w.f64(counters.run_time.as_seconds());
+  for (const profiler::CounterReading& c : counters.counters) {
+    w.f64(c.total);
+    w.f64(c.per_second);
+  }
+}
+
+profiler::ProfileResult decode_counters(WireReader& r, std::size_t count) {
   profiler::ProfileResult result;
-  const std::size_t count = r.u16();
   // Each reading is at least 19 bytes (empty name); a count the remaining
   // bytes cannot possibly hold is rejected before reserving for it.
   if (count * 19 > r.remaining()) {
@@ -63,6 +113,41 @@ profiler::ProfileResult decode_counters(WireReader& r) {
   return result;
 }
 
+/// Inverse of encode_dense_counters: the id must be the catalog id of
+/// `gpu`'s architecture, and the rest of the payload exactly one pair per
+/// catalog counter plus, optionally, the 4-byte tenant trailer.
+profiler::ProfileResult decode_dense_counters(WireReader& r,
+                                              sim::GpuModel gpu) {
+  const sim::Architecture arch = sim::device_spec(gpu).architecture;
+  const std::uint64_t id = r.u64();
+  if (id != profiler::catalog_id(arch)) {
+    throw ProtocolError("catalog id " + std::to_string(id) + " is not the " +
+                        sim::to_string(arch) + " catalog of " +
+                        sim::to_string(gpu));
+  }
+  const std::vector<profiler::CounterDef>& catalog =
+      profiler::counter_catalog(arch);
+  profiler::ProfileResult result;
+  result.run_time = Duration::seconds(r.f64());
+  const std::size_t body = catalog.size() * 16;
+  if (r.remaining() != body && r.remaining() != body + 4) {
+    throw ProtocolError("dense counter body of " +
+                        std::to_string(r.remaining()) + " bytes; the " +
+                        sim::to_string(arch) + " catalog needs " +
+                        std::to_string(body));
+  }
+  result.counters.reserve(catalog.size());
+  for (const profiler::CounterDef& def : catalog) {
+    profiler::CounterReading reading;
+    reading.name = def.name;
+    reading.klass = def.klass;
+    reading.total = r.f64();
+    reading.per_second = r.f64();
+    result.counters.push_back(std::move(reading));
+  }
+  return result;
+}
+
 }  // namespace
 
 std::uint64_t deadline_to_micros(Duration deadline) {
@@ -75,27 +160,56 @@ Duration deadline_from_micros(std::uint64_t micros) {
   return Duration::microseconds(static_cast<double>(micros));
 }
 
-std::vector<std::uint8_t> encode_predict_request(
-    std::uint64_t request_id, const serve::Request& request) {
-  WireWriter w;
+std::uint8_t encode_predict_request_into(WireWriter& w,
+                                         std::uint64_t request_id,
+                                         const serve::Request& request) {
+  const std::optional<sim::Architecture> dense = dense_architecture(request);
+  const std::vector<profiler::CounterReading>& readings =
+      request.counters.counters;
+  const std::size_t trailer = request.tenant != 0 ? 4 : 0;
+  // Size the payload once: head, count, run time and two values per
+  // reading, plus the catalog id (dense) or each name and class.
+  std::size_t size =
+      kRequestHeadBytes + 2 + 8 + readings.size() * 16 + trailer;
+  if (dense) {
+    size += 8;
+  } else {
+    for (const profiler::CounterReading& c : readings) {
+      size += 3 + c.name.size();
+    }
+  }
+  w.reserve(w.size() + size);
+
   w.u64(request_id);
   w.u8(static_cast<std::uint8_t>(request.kind));
   w.u8(static_cast<std::uint8_t>(request.gpu));
   w.u8(static_cast<std::uint8_t>(request.policy));
   encode_pair(w, request.pair);
-  encode_counters(w, request.counters);
+  if (dense) {
+    encode_dense_counters(w, *dense, request.counters);
+  } else {
+    encode_counters(w, request.counters);
+  }
   // Tenant trailer (v3): only a nonzero tenant changes the byte layout, so
   // tenant-0 traffic stays bit-identical to what a v1 peer expects.
-  if (request.tenant != 0) w.u32(request.tenant);
+  if (trailer != 0) w.u32(request.tenant);
+  return request_version(dense.has_value(), request);
+}
+
+std::vector<std::uint8_t> encode_predict_request(
+    std::uint64_t request_id, const serve::Request& request) {
+  WireWriter w;
+  encode_predict_request_into(w, request_id, request);
   return w.take();
 }
 
 std::uint8_t predict_request_version(const serve::Request& request) {
-  return request.tenant != 0 ? 3 : kBaseProtocolVersion;
+  return request_version(dense_architecture(request).has_value(), request);
 }
 
 DecodedRequest decode_predict_request(std::span<const std::uint8_t> payload,
-                                      std::uint64_t deadline_micros) {
+                                      std::uint64_t deadline_micros,
+                                      std::uint8_t frame_version) {
   WireReader r(payload);
   DecodedRequest decoded;
   decoded.request_id = r.u64();
@@ -106,7 +220,16 @@ DecodedRequest decode_predict_request(std::span<const std::uint8_t> payload,
   decoded.request.policy =
       checked_enum<core::GovernorPolicy>(r.u8(), 3, "governor policy");
   decoded.request.pair = decode_pair(r);
-  decoded.request.counters = decode_counters(r);
+  const std::uint16_t count = r.u16();
+  if (count == kDenseMarker) {
+    if (frame_version < kDenseRequestVersion) {
+      throw ProtocolError("dense counter body in a version-" +
+                          std::to_string(frame_version) + " frame");
+    }
+    decoded.request.counters = decode_dense_counters(r, decoded.request.gpu);
+  } else {
+    decoded.request.counters = decode_counters(r, count);
+  }
   decoded.request.deadline = deadline_from_micros(deadline_micros);
   if (r.remaining() == 4) {
     decoded.request.tenant = r.u32();

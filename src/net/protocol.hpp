@@ -25,6 +25,10 @@
 
 namespace gppm::net {
 
+/// The protocol version that introduced the dense (catalog-indexed)
+/// PredictRequest counter body.
+inline constexpr std::uint8_t kDenseRequestVersion = 4;
+
 /// One served board as announced by InfoResponse.
 struct ModelInfo {
   sim::GpuModel gpu = sim::GpuModel::GTX680;
@@ -69,16 +73,37 @@ struct DecodedResponse {
 // client, the tests) are untouched.
 
 // --- PredictRequest -------------------------------------------------------
-/// Tenant-0 requests encode to the original (v1) byte layout; a nonzero
-/// tenant appends a u32 tenant-id trailer, and the frame carrying the
-/// payload must be stamped with predict_request_version(request) so a
-/// pre-v3 peer rejects it cleanly instead of mis-parsing the trailer.
+/// A request's counter body takes one of two forms:
+///  - dense (v4): when the readings are exactly the counter catalog of
+///    `request.gpu`'s architecture (same count, order, names and classes),
+///    the body is the catalog id (profiler::catalog_id), the run time and
+///    one (total, per-second) pair per catalog index — no names;
+///  - name form (v1): every other profile (mix pseudo-counters appended, a
+///    hand-built one) spells each reading out as name, class and values.
+/// A nonzero tenant appends a u32 tenant-id trailer to either form.  The
+/// frame carrying the payload must be stamped with the version the payload
+/// requires (predict_request_version, or the value the _into variant
+/// returns), so an older peer rejects it cleanly instead of mis-parsing.
 std::vector<std::uint8_t> encode_predict_request(std::uint64_t request_id,
                                                  const serve::Request& request);
-DecodedRequest decode_predict_request(std::span<const std::uint8_t> payload,
-                                      std::uint64_t deadline_micros);
-/// The frame version a PredictRequest payload requires: the base version
-/// for tenant 0, version 3 once a tenant trailer rides along.
+/// Arena variant: append the payload to `w` (not cleared first), sized once
+/// up front, and return the frame version it requires.
+std::uint8_t encode_predict_request_into(WireWriter& w,
+                                         std::uint64_t request_id,
+                                         const serve::Request& request);
+/// Decodes either form, told apart by the payload alone.  `frame_version`
+/// is the version the carrying frame was stamped with: a dense body in a
+/// frame stamped below kDenseRequestVersion is a ProtocolError, as are a
+/// catalog id other than that of the decoded board's architecture and a
+/// dense body that is not exactly one pair per catalog counter (plus the
+/// optional trailer).  A dense body decodes to the readings the name form
+/// would have carried, field for field.
+DecodedRequest decode_predict_request(
+    std::span<const std::uint8_t> payload, std::uint64_t deadline_micros,
+    std::uint8_t frame_version = kProtocolVersion);
+/// The frame version a PredictRequest payload requires: kDenseRequestVersion
+/// for the dense form; for the name form, the base version for tenant 0 and
+/// version 3 once a tenant trailer rides along.
 std::uint8_t predict_request_version(const serve::Request& request);
 
 // --- PredictResponse ------------------------------------------------------

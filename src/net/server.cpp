@@ -237,7 +237,7 @@ bool Server::dispatch(Connection& conn, const FrameView& frame) {
       break;
     case FrameType::PredictRequest: {
       DecodedRequest decoded = decode_predict_request(
-          frame.payload, frame.header.deadline_micros);
+          frame.payload, frame.header.deadline_micros, frame.header.version);
       reply.type = FrameType::PredictResponse;
       reply.request_id = decoded.request_id;
       try {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace gppm::profiler {
 
@@ -370,6 +371,37 @@ const std::vector<CounterDef>& counter_catalog(sim::Architecture arch) {
   static const std::vector<CounterDef> tesla = build_tesla();
   static const std::vector<CounterDef> fermi = build_fermi();
   static const std::vector<CounterDef> kepler = build_kepler();
+  switch (arch) {
+    case sim::Architecture::Tesla: return tesla;
+    case sim::Architecture::Fermi: return fermi;
+    case sim::Architecture::Kepler: return kepler;
+  }
+  throw Error("unknown architecture");
+}
+
+std::uint64_t catalog_id(std::span<const CounterDef> catalog) {
+  std::string bytes;
+  const auto u32 = [&bytes](std::size_t v) {
+    for (int i = 0; i < 4; ++i) {
+      bytes.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  u32(catalog.size());
+  for (const CounterDef& def : catalog) {
+    u32(def.name.size());
+    bytes += def.name;
+    bytes.push_back(static_cast<char>(def.klass));
+  }
+  return fnv1a(bytes);
+}
+
+std::uint64_t catalog_id(sim::Architecture arch) {
+  static const std::uint64_t tesla =
+      catalog_id(counter_catalog(sim::Architecture::Tesla));
+  static const std::uint64_t fermi =
+      catalog_id(counter_catalog(sim::Architecture::Fermi));
+  static const std::uint64_t kepler =
+      catalog_id(counter_catalog(sim::Architecture::Kepler));
   switch (arch) {
     case sim::Architecture::Tesla: return tesla;
     case sim::Architecture::Fermi: return fermi;

@@ -8,7 +8,9 @@
 // memory-events are un-core events such as memory accesses").
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +36,17 @@ struct CounterDef {
 /// The counter catalog of an architecture.  Sizes match the paper exactly:
 /// Tesla 32, Fermi 74, Kepler 108.  Built once per process.
 const std::vector<CounterDef>& counter_catalog(sim::Architecture arch);
+
+/// Identity of a counter list: a 64-bit FNV-1a hash over its ordered
+/// (name, class) entries, each written as a little-endian u32 name length,
+/// the name bytes and a class byte, after a u32 entry count.  Hashing that
+/// byte form (never the in-memory layout) makes the id the same on every
+/// host.  Reordering the list, or renaming or reclassing one entry,
+/// changes the id (barring a 64-bit hash collision).
+std::uint64_t catalog_id(std::span<const CounterDef> catalog);
+
+/// catalog_id(counter_catalog(arch)), computed once per process.
+std::uint64_t catalog_id(sim::Architecture arch);
 
 /// Index of a counter by name; throws on unknown names.
 std::size_t counter_index(sim::Architecture arch, const std::string& name);

@@ -58,8 +58,8 @@ TEST_P(VbiosOnEveryBoard, PatchRejectsNonConfigurablePairs) {
 
 INSTANTIATE_TEST_SUITE_P(AllBoards, VbiosOnEveryBoard,
                          ::testing::ValuesIn(sim::kAllGpus),
-                         [](const ::testing::TestParamInfo<GpuModel>& info) {
-                           std::string n = sim::to_string(info.param);
+                         [](const ::testing::TestParamInfo<GpuModel>& p) {
+                           std::string n = sim::to_string(p.param);
                            n.erase(std::remove(n.begin(), n.end(), ' '), n.end());
                            return n;
                          });

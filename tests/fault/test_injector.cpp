@@ -63,7 +63,9 @@ TEST(FaultInjector, BurstsFireConsecutively) {
     if (seq[i]) {
       ++run;
     } else {
-      if (run > 0) EXPECT_GE(run, 4u) << "short burst ending at check " << i;
+      if (run > 0) {
+        EXPECT_GE(run, 4u) << "short burst ending at check " << i;
+      }
       run = 0;
     }
   }

@@ -75,8 +75,8 @@ TEST_P(DeviceSpecTableOne, CalibrationIsPhysical) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllBoards, DeviceSpecTableOne, ::testing::ValuesIn(kTableOne),
-    [](const ::testing::TestParamInfo<TableOneRow>& info) {
-      std::string n = to_string(info.param.model);
+    [](const ::testing::TestParamInfo<TableOneRow>& p) {
+      std::string n = to_string(p.param.model);
       n.erase(std::remove(n.begin(), n.end(), ' '), n.end());
       return n;
     });

@@ -117,8 +117,8 @@ TEST_P(MicrosimOnEveryBoard, AgreesWithAnalyticalModelOnSuite) {
 
 INSTANTIATE_TEST_SUITE_P(AllBoards, MicrosimOnEveryBoard,
                          ::testing::ValuesIn(kAllGpus),
-                         [](const ::testing::TestParamInfo<GpuModel>& info) {
-                           std::string n = to_string(info.param);
+                         [](const ::testing::TestParamInfo<GpuModel>& p) {
+                           std::string n = to_string(p.param);
                            n.erase(std::remove(n.begin(), n.end(), ' '), n.end());
                            return n;
                          });

@@ -69,8 +69,8 @@ TEST_P(PowerOnEveryBoard, RejectsOutOfRangeUtilization) {
 
 INSTANTIATE_TEST_SUITE_P(AllBoards, PowerOnEveryBoard,
                          ::testing::ValuesIn(kAllGpus),
-                         [](const ::testing::TestParamInfo<GpuModel>& info) {
-                           std::string n = to_string(info.param);
+                         [](const ::testing::TestParamInfo<GpuModel>& p) {
+                           std::string n = to_string(p.param);
                            n.erase(std::remove(n.begin(), n.end(), ' '), n.end());
                            return n;
                          });

@@ -135,8 +135,8 @@ TEST_P(TimingOnEveryBoard, LowOccupancyHurtsBothSides) {
 
 INSTANTIATE_TEST_SUITE_P(AllBoards, TimingOnEveryBoard,
                          ::testing::ValuesIn(kAllGpus),
-                         [](const ::testing::TestParamInfo<GpuModel>& info) {
-                           std::string n = to_string(info.param);
+                         [](const ::testing::TestParamInfo<GpuModel>& p) {
+                           std::string n = to_string(p.param);
                            n.erase(std::remove(n.begin(), n.end(), ' '), n.end());
                            return n;
                          });

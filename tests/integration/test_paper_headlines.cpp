@@ -201,8 +201,8 @@ INSTANTIATE_TEST_SUITE_P(
                    60.0},
         ModelBands{GpuModel::GTX680, 0, 0.10, 0.75, 0.80, 14.0, 32.0, 22.0,
                    50.0}),
-    [](const ::testing::TestParamInfo<ModelBands>& info) {
-      std::string n = sim::to_string(info.param.model);
+    [](const ::testing::TestParamInfo<ModelBands>& p) {
+      std::string n = sim::to_string(p.param.model);
       n.erase(std::remove(n.begin(), n.end(), ' '), n.end());
       return n;
     });

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/str.hpp"
@@ -86,8 +89,8 @@ INSTANTIATE_TEST_SUITE_P(Architectures, CatalogPerArch,
                          ::testing::Values(sim::Architecture::Tesla,
                                            sim::Architecture::Fermi,
                                            sim::Architecture::Kepler),
-                         [](const auto& info) {
-                           return sim::to_string(info.param);
+                         [](const auto& p) {
+                           return sim::to_string(p.param);
                          });
 
 TEST(Catalog, SizesMatchPaper) {
@@ -158,6 +161,53 @@ TEST(Catalog, ProfTriggersAreConstantZero) {
     }
     EXPECT_EQ(trigger_count, 8);
   }
+}
+
+TEST(CatalogId, DistinctPerArchitecture) {
+  const std::uint64_t tesla = catalog_id(sim::Architecture::Tesla);
+  const std::uint64_t fermi = catalog_id(sim::Architecture::Fermi);
+  const std::uint64_t kepler = catalog_id(sim::Architecture::Kepler);
+  EXPECT_NE(tesla, fermi);
+  EXPECT_NE(tesla, kepler);
+  EXPECT_NE(fermi, kepler);
+}
+
+TEST(CatalogId, RecomputedFromCopyIsEqual) {
+  for (sim::Architecture arch :
+       {sim::Architecture::Tesla, sim::Architecture::Fermi,
+        sim::Architecture::Kepler}) {
+    const std::vector<CounterDef> copy = counter_catalog(arch);
+    EXPECT_EQ(catalog_id(copy), catalog_id(arch)) << sim::to_string(arch);
+  }
+}
+
+TEST(CatalogId, OrderNameAndClassChangeTheId) {
+  const std::vector<CounterDef>& kepler =
+      counter_catalog(sim::Architecture::Kepler);
+  const std::uint64_t id = catalog_id(sim::Architecture::Kepler);
+
+  std::vector<CounterDef> swapped = kepler;
+  std::swap(swapped[3], swapped[40]);
+  EXPECT_NE(catalog_id(swapped), id);
+
+  std::vector<CounterDef> renamed = kepler;
+  renamed[17].name += "x";
+  EXPECT_NE(catalog_id(renamed), id);
+
+  std::vector<CounterDef> reclassed = kepler;
+  reclassed[17].klass = reclassed[17].klass == EventClass::Core
+                            ? EventClass::Memory
+                            : EventClass::Core;
+  EXPECT_NE(catalog_id(reclassed), id);
+}
+
+TEST(CatalogId, PinnedByteForm) {
+  // FNV-1a 64 over the documented byte form (u32 LE count, then per entry
+  // u32 LE name length, name bytes, class byte), computed independently:
+  // the id hashes bytes, not host memory, so it is the same on any host.
+  EXPECT_EQ(catalog_id(std::vector<CounterDef>{}), 0x4d25767f9dce13f5ull);
+  const std::vector<CounterDef> one = {{"ab", EventClass::Memory, {}}};
+  EXPECT_EQ(catalog_id(one), 0x158587f7eda7f90cull);
 }
 
 TEST(EventClassName, Strings) {

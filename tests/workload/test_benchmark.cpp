@@ -80,9 +80,9 @@ TEST_P(EveryBenchmarkSize, NoiseScaleDecreasesWithSize) {
 
 INSTANTIATE_TEST_SUITE_P(
     Suite, EveryBenchmarkSize, ::testing::ValuesIn(all_cases()),
-    [](const ::testing::TestParamInfo<Case>& info) {
-      std::string n = benchmark_suite()[info.param.bench].name + "_s" +
-                      std::to_string(info.param.size);
+    [](const ::testing::TestParamInfo<Case>& p) {
+      std::string n = benchmark_suite()[p.param.bench].name + "_s" +
+                      std::to_string(p.param.size);
       for (char& c : n) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }

@@ -56,9 +56,9 @@ TEST_P(EveryBenchmarkOnEveryBoard, DownclockedMemoryNeverSpeedsUp) {
 
 INSTANTIATE_TEST_SUITE_P(
     Suite, EveryBenchmarkOnEveryBoard, ::testing::ValuesIn(all_cells()),
-    [](const ::testing::TestParamInfo<Cell>& info) {
-      std::string n = benchmark_suite()[info.param.bench].name + "_" +
-                      sim::to_string(info.param.gpu);
+    [](const ::testing::TestParamInfo<Cell>& p) {
+      std::string n = benchmark_suite()[p.param.bench].name + "_" +
+                      sim::to_string(p.param.gpu);
       for (char& c : n) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # run_tier1.sh — the full pre-merge verification sweep in one command:
 #
-#   1. tier-1: Release-ish build + the complete ctest suite
-#      (the same invocation ROADMAP.md names as the merge gate);
+#   1. tier-1: Release-ish build with warnings as errors
+#      (-DGPPM_WERROR=ON) + the complete ctest suite (the same invocation
+#      ROADMAP.md names as the merge gate);
 #   2. scalar: -DGPPM_SIMD=off build, the simd-labeled parity suites, and
 #      a byte-for-byte diff of gppm_parity_fingerprint output against the
 #      default build — the cross-build bit-identity gate from
@@ -39,8 +40,8 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 tier1_only=false
 [ "${1:-}" = "--tier1-only" ] && tier1_only=true
 
-echo "== tier-1: build + full ctest =="
-cmake -B "$repo/build" -S "$repo" >/dev/null
+echo "== tier-1: -Werror build + full ctest =="
+cmake -B "$repo/build" -S "$repo" -DGPPM_WERROR=ON >/dev/null
 cmake --build "$repo/build" -j"$jobs"
 (cd "$repo/build" && ctest --output-on-failure -j"$jobs")
 
