@@ -1,6 +1,7 @@
 #include "core/features.hpp"
 
 #include "common/error.hpp"
+#include "obs/obs.hpp"
 
 namespace gppm::core {
 
@@ -50,6 +51,7 @@ RegressionTable build_table(const Dataset& dataset, TargetKind target,
                             const sim::FrequencyPair* pair_filter,
                             FeatureScaling scaling,
                             bool include_baseline_terms) {
+  obs::ObsSpan span("core.build_table");
   GPPM_CHECK(!dataset.samples.empty(), "empty dataset");
   const sim::DeviceSpec& spec = sim::device_spec(dataset.model);
   const std::size_t n_counters = dataset.samples.front().counters.counters.size();
@@ -82,29 +84,48 @@ RegressionTable build_table(const Dataset& dataset, TargetKind target,
     table.feature_names.push_back(kBaselineMemFeature);
   }
 
+  // Each row is written through one row pointer, with the pair's domain
+  // frequencies (and V^2 ratios) looked up once per row rather than once
+  // per cell.  Every cell keeps feature_value's expression and evaluation
+  // order — (per_second * f) * v for power, total / f for time, v = 1 in
+  // the frequency-only form — so the table is bit for bit the per-cell one.
+  const bool power = target == TargetKind::Power;
+  const bool v2f = scaling == FeatureScaling::VoltageSquaredFrequency;
   std::size_t row = 0;
   for (std::size_t si = 0; si < dataset.samples.size(); ++si) {
     const Sample& s = dataset.samples[si];
     GPPM_CHECK(s.counters.counters.size() == n_counters,
                "inconsistent counter count across samples");
+    const profiler::CounterReading* readings = s.counters.counters.data();
     for (const Measurement& m : s.runs) {
       if (pair_filter && !(m.pair == *pair_filter)) continue;
-      for (std::size_t c = 0; c < n_counters; ++c) {
-        table.features(row, c) =
-            feature_value(s.counters.counters[c], m.pair, spec, target,
-                          scaling);
+      // Index 0: core domain, 1: memory domain.
+      const double f[2] = {spec.core_clock.at(m.pair.core).frequency.as_ghz(),
+                           spec.mem_clock.at(m.pair.mem).frequency.as_ghz()};
+      const double v[2] = {
+          v2f ? spec.core_clock.voltage_sq_ratio(m.pair.core) : 1.0,
+          v2f ? spec.mem_clock.voltage_sq_ratio(m.pair.mem) : 1.0};
+      double* out = table.features.row_ptr(row);
+      if (power) {
+        for (std::size_t c = 0; c < n_counters; ++c) {
+          const std::size_t d =
+              readings[c].klass == profiler::EventClass::Core ? 0 : 1;
+          out[c] = readings[c].per_second * f[d] * v[d];
+        }
+      } else {
+        for (std::size_t c = 0; c < n_counters; ++c) {
+          const std::size_t d =
+              readings[c].klass == profiler::EventClass::Core ? 0 : 1;
+          out[c] = readings[c].total / f[d];
+        }
       }
       if (include_baseline_terms) {
-        table.features(row, n_counters) =
-            feature_value(baseline_reading(profiler::EventClass::Core),
-                          m.pair, spec, target, scaling);
-        table.features(row, n_counters + 1) =
-            feature_value(baseline_reading(profiler::EventClass::Memory),
-                          m.pair, spec, target, scaling);
+        // The baseline pseudo-readings have unit rate and total.
+        out[n_counters] = power ? 1.0 * f[0] * v[0] : 1.0 / f[0];
+        out[n_counters + 1] = power ? 1.0 * f[1] * v[1] : 1.0 / f[1];
       }
-      table.target[row] = target == TargetKind::Power
-                              ? m.avg_power.as_watts()
-                              : m.exec_time.as_seconds();
+      table.target[row] =
+          power ? m.avg_power.as_watts() : m.exec_time.as_seconds();
       table.rows.push_back({si, m.pair});
       ++row;
     }

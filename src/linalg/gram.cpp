@@ -69,8 +69,8 @@ GramSystem build_gram_system(const Matrix& candidates, const Vector& y,
     }
   };
 
-  if (parallel) {
-    gppm::parallel_for(p, build_column, /*min_parallel=*/16);
+  if (parallel && parallel_pays(n, p)) {
+    gppm::parallel_for(p, build_column);
   } else {
     for (std::size_t j = 0; j < p; ++j) build_column(j);
   }

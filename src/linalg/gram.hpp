@@ -38,11 +38,27 @@ struct GramSystem {
   std::size_t n_candidates = 0;
 };
 
-/// Build the Gram system.  With `parallel` set, the O(p^2 n) entry
-/// computation fans out over the shared compute pool; each Gram entry is
-/// produced by exactly one task with a fixed summation order (the
-/// common/simd.hpp 8-lane tree, identical on every backend), so the result
-/// is bit-identical to the serial build and to a -DGPPM_SIMD=off build.
+/// Smallest sample matrix, in rows x candidates, over which a fit asked to
+/// run in parallel (the Gram build and forward selection's candidate
+/// scoring) actually fans out over the shared compute pool.  Below it the
+/// pool's hand-offs cost more than the split saves.  Set from
+/// bench_selection_speedup's two problems: at paper scale (798 x 74, 59k
+/// cells, cap 20) the fan-out ran 0.88x serial, at 2048 x 192 (393k cells)
+/// 1.80x.
+inline constexpr std::size_t kParallelMinCells = std::size_t{1} << 17;
+
+/// True when a fit over a rows x cols sample matrix is large enough to fan
+/// out (rows * cols >= kParallelMinCells).
+inline bool parallel_pays(std::size_t rows, std::size_t cols) {
+  return rows * cols >= kParallelMinCells;
+}
+
+/// Build the Gram system.  With `parallel` set and a sample matrix past
+/// kParallelMinCells, the O(p^2 n) entry computation fans out over the
+/// shared compute pool; each Gram entry is produced by exactly one task with
+/// a fixed summation order (the common/simd.hpp 8-lane tree, identical on
+/// every backend), so the result is bit-identical to the serial build and
+/// to a -DGPPM_SIMD=off build.
 GramSystem build_gram_system(const Matrix& candidates, const Vector& y,
                              bool parallel = false);
 

@@ -47,6 +47,11 @@ const double* Matrix::row_ptr(std::size_t r) const {
   return data_.data() + r * cols_;
 }
 
+double* Matrix::row_ptr(std::size_t r) {
+  GPPM_CHECK(r < rows_, "row out of range");
+  return data_.data() + r * cols_;
+}
+
 Vector Matrix::col(std::size_t c) const {
   GPPM_CHECK(c < cols_, "col out of range");
   Vector v(rows_);

@@ -39,8 +39,11 @@ class Matrix {
   /// Copy of row r as a vector.
   Vector row(std::size_t r) const;
   /// Borrowed pointer to row r's contiguous storage (cols() doubles).  The
-  /// SIMD kernels (common/simd.hpp) consume rows through this.
+  /// SIMD kernels (common/simd.hpp) consume rows through this, and the
+  /// table build and the scoring scratch write whole rows through the
+  /// mutable one.
   const double* row_ptr(std::size_t r) const;
+  double* row_ptr(std::size_t r);
   /// Copy of column c as a vector.
   Vector col(std::size_t c) const;
   /// Overwrite column c.

@@ -46,28 +46,53 @@ linalg::Matrix gather_columns(const linalg::Matrix& m,
   return out;
 }
 
-namespace {
-
-/// A column whose spread is negligible *relative to its magnitude* can never
-/// improve the fit beyond the intercept; it only costs a rank-deficient
-/// trial solve per step.  The relative tolerance also catches columns that
-/// are constant up to rounding (e.g. a counter rate quantized at 1e-12 of
-/// its value), which an exact equality test lets through.
-bool is_constant_column(const linalg::Matrix& m, std::size_t c) {
-  double lo = m(0, c), hi = m(0, c);
-  for (std::size_t i = 1; i < m.rows(); ++i) {
-    lo = std::min(lo, m(i, c));
-    hi = std::max(hi, m(i, c));
+bool is_constant_column(const double* values, std::size_t n) {
+  GPPM_CHECK(n > 0, "empty column");
+  // lo/hi follow a std::min/std::max scan in row order: a NaN first value
+  // sticks (the spread is NaN, so the column is not constant) and a later
+  // NaN never compares in.  Without NaNs min and max do not depend on the
+  // order, so eight independent lanes (which the compiler vectorizes) reach
+  // the same lo and hi, up to the sign of a zero, which the decision below
+  // cannot see.
+  const double first = values[0];
+  if (std::isnan(first)) return false;
+  constexpr std::size_t kLanes = 8;
+  double lo[kLanes], hi[kLanes];
+  for (std::size_t l = 0; l < kLanes; ++l) lo[l] = hi[l] = first;
+  const std::size_t n8 = n & ~(kLanes - 1);
+  for (std::size_t i = 0; i < n8; i += kLanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const double v = values[i + l];
+      lo[l] = v < lo[l] ? v : lo[l];
+      hi[l] = hi[l] < v ? v : hi[l];
+    }
   }
-  const double magnitude = std::max(std::abs(lo), std::abs(hi));
-  return hi - lo <= magnitude * 1e-12;
+  for (std::size_t i = n8; i < n; ++i) {
+    lo[0] = values[i] < lo[0] ? values[i] : lo[0];
+    hi[0] = hi[0] < values[i] ? values[i] : hi[0];
+  }
+  for (std::size_t l = 1; l < kLanes; ++l) {
+    lo[0] = std::min(lo[0], lo[l]);
+    hi[0] = std::max(hi[0], hi[l]);
+  }
+  const double magnitude = std::max(std::abs(lo[0]), std::abs(hi[0]));
+  return hi[0] - lo[0] <= magnitude * 1e-12;
 }
 
-/// Candidate columns the engines must ignore up front.
-std::vector<bool> excluded_columns(const linalg::Matrix& candidates) {
-  std::vector<bool> used(candidates.cols(), false);
-  for (std::size_t c = 0; c < candidates.cols(); ++c) {
-    if (is_constant_column(candidates, c)) used[c] = true;
+namespace {
+
+/// Candidate columns the engines must ignore up front, screened from the
+/// column panel (row c = candidate column c, contiguous).  A column whose
+/// spread is negligible *relative to its magnitude* can never improve the
+/// fit beyond the intercept; it only costs a rank-deficient trial solve per
+/// step.  The relative tolerance also catches columns that are constant up
+/// to rounding (e.g. a counter rate quantized at 1e-12 of its value), which
+/// an exact equality test lets through.
+std::vector<bool> excluded_columns(const linalg::Matrix& panel) {
+  obs::ObsSpan span("select.screen");
+  std::vector<bool> used(panel.rows(), false);
+  for (std::size_t c = 0; c < panel.rows(); ++c) {
+    used[c] = is_constant_column(panel.row_ptr(c), panel.cols());
   }
   return used;
 }
@@ -84,7 +109,7 @@ SelectionResult forward_select_naive(const linalg::Matrix& candidates,
                                      const linalg::Vector& y,
                                      const SelectionOptions& options) {
   const std::size_t n_candidates = candidates.cols();
-  std::vector<bool> used = excluded_columns(candidates);
+  std::vector<bool> used = excluded_columns(candidates.transposed());
 
   SelectionResult result;
   double best_adj_r2 = -std::numeric_limits<double>::infinity();
@@ -138,17 +163,26 @@ SelectionResult forward_select_naive(const linalg::Matrix& candidates,
 /// which prices every candidate's exact OLS residual in O(k^2).
 class IncrementalState {
  public:
-  IncrementalState(const linalg::GramSystem& gs)
-      : gs_(gs), model_{0}, lrows_{{1.0}}, z_{gs.xty[0]} {
+  /// Scoring writes candidate c's forward-substitution vector into row c of
+  /// `scratch` (one row per candidate, one column per model term up to the
+  /// cap: the model holds at most `cap` columns, intercept included, while
+  /// it is still scored), so a score allocates nothing and concurrent
+  /// scores of distinct candidates share no memory.
+  IncrementalState(const linalg::GramSystem& gs, linalg::Matrix& scratch)
+      : gs_(gs),
+        model_{0},
+        lrows_{{1.0}},
+        z_{gs.xty[0]},
+        w_(scratch) {
     rss_ = gs_.yty - z_[0] * z_[0];
   }
 
   /// Adjusted R^2 of the model extended with candidate c, or NaN when c is
   /// numerically collinear with the current model.
-  double score(std::size_t c) const {
-    linalg::Vector w;
+  double score(std::size_t c) {
+    GPPM_ASSERT(model_.size() <= w_.cols());
     double s = 0.0, zd = 0.0;
-    if (!try_append(c, w, s, zd)) {
+    if (!try_append(c, w_.row_ptr(c), s, zd)) {
       return std::numeric_limits<double>::quiet_NaN();
     }
     double rss = rss_ - zd * zd;
@@ -162,10 +196,11 @@ class IncrementalState {
 
   /// Extend the model with candidate c (must have scored non-NaN).
   void accept(std::size_t c) {
-    linalg::Vector w;
+    linalg::Vector w(model_.size() + 1);
     double s = 0.0, zd = 0.0;
-    GPPM_CHECK(try_append(c, w, s, zd), "accepting a collinear candidate");
-    w.push_back(std::sqrt(s));
+    GPPM_CHECK(try_append(c, w.data(), s, zd),
+               "accepting a collinear candidate");
+    w.back() = std::sqrt(s);
     lrows_.push_back(std::move(w));
     z_.push_back(zd);
     rss_ -= zd * zd;
@@ -179,21 +214,22 @@ class IncrementalState {
   /// the largest (all <= 1 after normalization); s is that diagonal squared.
   static constexpr double kPivotTol = 1e-24;
 
-  bool try_append(std::size_t c, linalg::Vector& w, double& s,
-                  double& zd) const {
+  /// Forward substitution into w (model_.size() entries).  The Gram entries
+  /// are read along row d, which equals column d bit for bit: every
+  /// off-diagonal entry is written to both halves from one value.
+  bool try_append(std::size_t c, double* w, double& s, double& zd) const {
     const std::size_t d = c + 1;
     const std::size_t k = model_.size();
     if (gs_.col_scale[d] <= 0.0) return false;  // all-zero column
-    // Forward substitution against the row-grown factor; the subtracted
-    // cross term is one contiguous SIMD dot per row.
-    w.resize(k);
+    // The subtracted cross term is one contiguous SIMD dot per row of the
+    // row-grown factor.
+    const double* gram_d = gs_.gram.row_ptr(d);
     for (std::size_t i = 0; i < k; ++i) {
-      const double acc =
-          gs_.gram(model_[i], d) - simd::dot(lrows_[i].data(), w.data(), i);
+      const double acc = gram_d[model_[i]] - simd::dot(lrows_[i].data(), w, i);
       w[i] = acc / lrows_[i][i];
     }
-    s = 1.0 - simd::dot(w.data(), w.data(), k);
-    const double wz = simd::dot(w.data(), z_.data(), k);
+    s = 1.0 - simd::dot(w, w, k);
+    const double wz = simd::dot(w, z_.data(), k);
     if (s <= kPivotTol) return false;
     zd = (gs_.xty[d] - wz) / std::sqrt(s);
     return true;
@@ -203,6 +239,7 @@ class IncrementalState {
   std::vector<std::size_t> model_;        ///< design indices, intercept first
   std::vector<linalg::Vector> lrows_;     ///< growable lower-triangular factor
   linalg::Vector z_;
+  linalg::Matrix& w_;                     ///< per-candidate scoring scratch
   double rss_ = 0.0;
 };
 
@@ -210,12 +247,22 @@ SelectionResult forward_select_incremental(const linalg::Matrix& candidates,
                                            const linalg::Vector& y,
                                            const SelectionOptions& options) {
   const std::size_t n_candidates = candidates.cols();
-  std::vector<bool> used = excluded_columns(candidates);
   const std::size_t cap = selection_cap(candidates, options);
+  const bool fan_out =
+      options.parallel &&
+      linalg::parallel_pays(candidates.rows(), candidates.cols());
 
-  const linalg::GramSystem gs =
-      linalg::build_gram_system(candidates, y, options.parallel);
-  IncrementalState state(gs);
+  // The scoring scratch is allocated ahead of the Gram system.  Allocated
+  // after it, and changing nothing else, the Gram build and the QR confirms
+  // ran 8-11% slower (bench_selection_speedup's fit_stages, 8 alternating
+  // runs): the allocation order moves where their large buffers land.
+  linalg::Matrix scratch(n_candidates, cap);
+  const linalg::GramSystem gs = [&] {
+    obs::ObsSpan span("select.gram");
+    return linalg::build_gram_system(candidates, y, options.parallel);
+  }();
+  std::vector<bool> used = excluded_columns(gs.panel);
+  IncrementalState state(gs, scratch);
 
   // The accepted model's design [1 | selected...] in one QR, grown by one
   // column per accepted variable and read from the Gram system's column
@@ -272,11 +319,12 @@ SelectionResult forward_select_incremental(const linalg::Matrix& candidates,
     };
     {
       obs::ObsSpan score_span("select.score");
-      if (options.parallel) {
-        // Each slot is written by exactly one iteration, so the fan-out is
-        // bit-deterministic; the argmax below is serial with first-index
-        // wins, matching the reference engine's strict-improvement scan.
-        gppm::parallel_for(n_candidates, score_one, /*min_parallel=*/64);
+      if (fan_out) {
+        // Each slot (score and scratch row) is written by exactly one
+        // iteration, so the fan-out is bit-deterministic; the argmax below
+        // is serial with first-index wins, matching the reference engine's
+        // strict-improvement scan.
+        gppm::parallel_for(n_candidates, score_one);
       } else {
         for (std::size_t c = 0; c < n_candidates; ++c) score_one(c);
       }

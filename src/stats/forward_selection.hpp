@@ -55,10 +55,12 @@ struct SelectionOptions {
   /// avoids adding numerically useless columns).
   double min_improvement = 1e-9;
   SelectionEngine engine = SelectionEngine::IncrementalGram;
-  /// Fan candidate scoring within a step out over the shared compute pool
-  /// (IncrementalGram only).  The argmax reduction is serial and ties break
-  /// on the lowest column index either way, so results do not depend on
-  /// this flag or the thread count.
+  /// Fan the Gram build and candidate scoring within a step out over the
+  /// shared compute pool (IncrementalGram only), when the sample matrix has
+  /// at least linalg::kParallelMinCells cells; smaller fits run serially.
+  /// The argmax reduction is serial and ties break on the lowest column
+  /// index either way, so results do not depend on this flag or the thread
+  /// count.
   bool parallel = false;
 };
 
@@ -68,6 +70,13 @@ struct SelectionOptions {
 SelectionResult forward_select(const linalg::Matrix& candidates,
                                const linalg::Vector& y,
                                const SelectionOptions& options = {});
+
+/// The engines' constant-column screen over one candidate column stored
+/// contiguously (a row of the GramSystem column panel; n >= 1 values): true
+/// when the column's spread is at most 1e-12 of its magnitude.  A NaN first
+/// value makes the column not constant; later NaNs are skipped, as a
+/// std::min/std::max scan in row order skips them.
+bool is_constant_column(const double* values, std::size_t n);
 
 /// Helper: gather the given columns of a matrix into a new matrix.
 linalg::Matrix gather_columns(const linalg::Matrix& m,

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/error.hpp"
+#include "dvfs/combos.hpp"
 
 namespace gppm::core {
 namespace {
@@ -88,6 +92,106 @@ TEST(Features, TargetsMatchMeasurements) {
       }
     }
     EXPECT_TRUE(found);
+  }
+}
+
+/// build_table as one feature_value call per cell, in row order: the
+/// reference the row-pointer build must reproduce bit for bit.
+RegressionTable per_cell_table(const Dataset& ds, TargetKind target,
+                               const sim::FrequencyPair* pair_filter,
+                               FeatureScaling scaling, bool baseline_terms) {
+  const sim::DeviceSpec& spec = sim::device_spec(ds.model);
+  const std::size_t n_counters = ds.samples.front().counters.counters.size();
+  const std::size_t n_features = n_counters + (baseline_terms ? 2 : 0);
+  std::size_t n_rows = 0;
+  for (const Sample& s : ds.samples) {
+    for (const Measurement& m : s.runs) {
+      if (!pair_filter || m.pair == *pair_filter) ++n_rows;
+    }
+  }
+  RegressionTable table;
+  table.features = linalg::Matrix(n_rows, n_features);
+  for (const auto& r : ds.samples.front().counters.counters) {
+    table.feature_names.push_back(r.name);
+  }
+  if (baseline_terms) {
+    table.feature_names.push_back(kBaselineCoreFeature);
+    table.feature_names.push_back(kBaselineMemFeature);
+  }
+  std::size_t row = 0;
+  for (std::size_t si = 0; si < ds.samples.size(); ++si) {
+    const Sample& s = ds.samples[si];
+    for (const Measurement& m : s.runs) {
+      if (pair_filter && !(m.pair == *pair_filter)) continue;
+      for (std::size_t c = 0; c < n_counters; ++c) {
+        table.features(row, c) = feature_value(s.counters.counters[c], m.pair,
+                                               spec, target, scaling);
+      }
+      if (baseline_terms) {
+        table.features(row, n_counters) =
+            feature_value(baseline_reading(profiler::EventClass::Core),
+                          m.pair, spec, target, scaling);
+        table.features(row, n_counters + 1) =
+            feature_value(baseline_reading(profiler::EventClass::Memory),
+                          m.pair, spec, target, scaling);
+      }
+      table.target.push_back(target == TargetKind::Power
+                                 ? m.avg_power.as_watts()
+                                 : m.exec_time.as_seconds());
+      table.rows.push_back({si, m.pair});
+      ++row;
+    }
+  }
+  return table;
+}
+
+TEST(Features, BuildTableEqualsPerCellFeatureValueBitForBit) {
+  struct Form {
+    const char* name;
+    TargetKind target;
+    FeatureScaling scaling;
+    bool baseline_terms;
+  };
+  const Form forms[] = {
+      {"power f", TargetKind::Power, FeatureScaling::FrequencyOnly, false},
+      {"exec time", TargetKind::ExecTime, FeatureScaling::FrequencyOnly,
+       false},
+      {"power V^2f + baseline terms", TargetKind::Power,
+       FeatureScaling::VoltageSquaredFrequency, true},
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (sim::GpuModel gpu : sim::kAllGpus) {
+    const Dataset ds = build_dataset(gpu);
+    // A pair other than the default, so the filter drops most rows.
+    const sim::FrequencyPair one_pair = dvfs::configurable_pairs(gpu).back();
+    for (const Form& form : forms) {
+      for (const sim::FrequencyPair* filter :
+           {static_cast<const sim::FrequencyPair*>(nullptr), &one_pair}) {
+        SCOPED_TRACE(sim::to_string(gpu) + ", " + form.name +
+                     (filter ? ", one pair" : ", every pair"));
+        const RegressionTable table = build_table(
+            ds, form.target, filter, form.scaling, form.baseline_terms);
+        const RegressionTable reference = per_cell_table(
+            ds, form.target, filter, form.scaling, form.baseline_terms);
+        ASSERT_EQ(table.features.rows(), reference.features.rows());
+        ASSERT_EQ(table.features.cols(), reference.features.cols());
+        ASSERT_GT(table.features.rows(), 0u);
+        EXPECT_EQ(table.feature_names, reference.feature_names);
+        std::size_t differing = 0;
+        for (std::size_t r = 0; r < table.features.rows(); ++r) {
+          for (std::size_t c = 0; c < table.features.cols(); ++c) {
+            if (bits(table.features(r, c)) != bits(reference.features(r, c))) {
+              ++differing;
+            }
+          }
+          EXPECT_EQ(bits(table.target[r]), bits(reference.target[r]));
+          EXPECT_EQ(table.rows[r].sample_index,
+                    reference.rows[r].sample_index);
+          EXPECT_EQ(table.rows[r].pair, reference.rows[r].pair);
+        }
+        EXPECT_EQ(differing, 0u);
+      }
+    }
   }
 }
 

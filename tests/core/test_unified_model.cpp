@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "core/evaluation.hpp"
+#include "linalg/gram.hpp"
 
 namespace gppm::core {
 namespace {
@@ -193,6 +194,51 @@ TEST(ModelFamily, EnginesIdenticalInEveryPrefixAtRealSize) {
       EXPECT_EQ(a.variables()[i].coefficient, b.variables()[i].coefficient);
       EXPECT_EQ(a.variables()[i].cumulative_adjusted_r2,
                 b.variables()[i].cumulative_adjusted_r2);
+    }
+  }
+}
+
+TEST(ForwardSelectionParity, ParallelMatchesSerialOnEveryBoard) {
+  // Every board's power table at the family cap, with `parallel` off and
+  // on: as built, which is below the fan-out cutoff, and with its rows
+  // repeated past the cutoff, where the Gram build and the candidate
+  // scoring fan out over the pool.
+  for (sim::GpuModel gpu : sim::kAllGpus) {
+    const RegressionTable table =
+        build_table(build_dataset(gpu), TargetKind::Power);
+    const std::size_t rows = table.features.rows();
+    const std::size_t cols = table.features.cols();
+    const std::size_t copies = linalg::kParallelMinCells / (rows * cols) + 1;
+    linalg::Matrix stacked(rows * copies, cols);
+    linalg::Vector stacked_y(rows * copies);
+    for (std::size_t r = 0; r < rows * copies; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        stacked(r, c) = table.features(r % rows, c);
+      }
+      stacked_y[r] = table.target[r % rows];
+    }
+    ASSERT_FALSE(linalg::parallel_pays(rows, cols));
+    ASSERT_TRUE(linalg::parallel_pays(stacked.rows(), cols));
+    const std::pair<const linalg::Matrix*, const linalg::Vector*> problems[] = {
+        {&table.features, &table.target}, {&stacked, &stacked_y}};
+    for (const auto& [x, y] : problems) {
+      SCOPED_TRACE(sim::to_string(gpu) + ", " + std::to_string(x->rows()) +
+                   " rows");
+      stats::SelectionOptions opt;
+      opt.max_variables = 20;
+      const stats::SelectionResult serial = stats::forward_select(*x, *y, opt);
+      opt.parallel = true;
+      const stats::SelectionResult parallel =
+          stats::forward_select(*x, *y, opt);
+      EXPECT_EQ(serial.selected, parallel.selected);
+      EXPECT_EQ(serial.r2_trace, parallel.r2_trace);
+      EXPECT_EQ(serial.fit.coefficients, parallel.fit.coefficients);
+      EXPECT_EQ(serial.fit.intercept, parallel.fit.intercept);
+      ASSERT_EQ(serial.prefix_fits.size(), parallel.prefix_fits.size());
+      for (std::size_t k = 0; k < serial.prefix_fits.size(); ++k) {
+        EXPECT_EQ(serial.prefix_fits[k].coefficients,
+                  parallel.prefix_fits[k].coefficients);
+      }
     }
   }
 }

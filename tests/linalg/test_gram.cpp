@@ -59,17 +59,32 @@ TEST(GramSystem, MatchesExplicitNormalEquations) {
 }
 
 TEST(GramSystem, ParallelBuildIsBitIdentical) {
-  const std::size_t n = 64, p = 33;
-  const Matrix x = random_matrix(n, p, 77);
-  gppm::Rng rng(78);
-  Vector y(n);
-  for (auto& v : y) v = rng.normal();
+  // The first size stays serial; the second is past kParallelMinCells,
+  // where the build fans out.
+  const std::size_t sizes[][2] = {{64, 33}, {kParallelMinCells / 48 + 1, 48}};
+  EXPECT_FALSE(parallel_pays(sizes[0][0], sizes[0][1]));
+  EXPECT_TRUE(parallel_pays(sizes[1][0], sizes[1][1]));
+  for (const auto& [n, p] : sizes) {
+    const Matrix x = random_matrix(n, p, 77);
+    gppm::Rng rng(78);
+    Vector y(n);
+    for (auto& v : y) v = rng.normal();
 
-  const GramSystem serial = build_gram_system(x, y, /*parallel=*/false);
-  const GramSystem parallel = build_gram_system(x, y, /*parallel=*/true);
-  EXPECT_EQ(serial.gram.max_abs_diff(parallel.gram), 0.0);
-  EXPECT_EQ(serial.xty, parallel.xty);
-  EXPECT_EQ(serial.col_scale, parallel.col_scale);
+    const GramSystem serial = build_gram_system(x, y, /*parallel=*/false);
+    const GramSystem parallel = build_gram_system(x, y, /*parallel=*/true);
+    EXPECT_EQ(serial.gram.max_abs_diff(parallel.gram), 0.0);
+    EXPECT_EQ(serial.xty, parallel.xty);
+    EXPECT_EQ(serial.col_scale, parallel.col_scale);
+  }
+}
+
+TEST(GramSystem, FanOutCutoffSplitsTheBenchProblems) {
+  // bench_selection_speedup's paper-scale problem (798 x 74) ran slower on
+  // the pool than serially; its scaled one (2048 x 192) ran faster.
+  EXPECT_FALSE(parallel_pays(798, 74));
+  EXPECT_TRUE(parallel_pays(2048, 192));
+  EXPECT_TRUE(parallel_pays(kParallelMinCells, 1));
+  EXPECT_FALSE(parallel_pays(kParallelMinCells - 1, 1));
 }
 
 TEST(GramSystem, ZeroColumnGetsZeroScale) {

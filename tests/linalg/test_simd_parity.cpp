@@ -24,6 +24,7 @@ using gppm::linalg::Matrix;
 using gppm::linalg::Vector;
 using gppm::linalg::build_gram_system;
 using gppm::linalg::GramSystem;
+using gppm::linalg::kParallelMinCells;
 namespace simd = gppm::simd;
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -114,7 +115,8 @@ TEST(SimdLinalgParity, GramSerialParallelStillBitIdentical) {
   // kernels: each Gram entry is produced by one task with one fixed
   // summation tree, so thread count cannot change a single bit.
   Rng rng(47);
-  const std::size_t n = 65, p = 24;  // p > min_parallel so the pool engages
+  // Past kParallelMinCells, so the pool engages.
+  const std::size_t p = 24, n = kParallelMinCells / p + 1;
   const Matrix candidates = random_matrix(rng, n, p);
   Vector y(n);
   for (std::size_t i = 0; i < n; ++i) y[i] = rng.normal();

@@ -11,10 +11,12 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/characterization.hpp"
 #include "core/dataset.hpp"
 #include "core/evaluation.hpp"
 #include "fault/injector.hpp"
+#include "linalg/gram.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "serve/server.hpp"
@@ -124,14 +126,23 @@ TEST(ObsPipeline, SweepSelectServeProducesTraceAndFullMetrics) {
   EXPECT_GT(sweep.results.size(), 0u);
 
   // Layer 3: forward selection fanned out over the compute pool
-  // (select.* spans/counters plus parallel.* from the pool itself).
-  const core::RegressionTable table =
-      core::build_table(shared_dataset(), core::TargetKind::Power);
+  // (select.* spans/counters plus parallel.* from the pool itself).  A
+  // board's table is below the size at which a fit fans out, so the
+  // problem is a random one at that size.
+  const std::size_t cols = 64;
+  const std::size_t rows = linalg::kParallelMinCells / cols;
+  Rng rng(3);
+  linalg::Matrix x(rows, cols);
+  linalg::Vector y(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) x(i, j) = rng.normal();
+    y[i] = 2.0 * x(i, 3) - x(i, 17) + rng.normal(0.0, 0.5);
+  }
+  ASSERT_TRUE(linalg::parallel_pays(rows, cols));
   stats::SelectionOptions sopt;
   sopt.max_variables = 5;
   sopt.parallel = true;
-  const stats::SelectionResult sel =
-      stats::forward_select(table.features, table.target, sopt);
+  const stats::SelectionResult sel = stats::forward_select(x, y, sopt);
   EXPECT_GT(sel.selected.size(), 0u);
 
   // Layer 4: prediction serving (the server's scope: serve.* counters,

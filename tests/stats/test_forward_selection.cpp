@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "linalg/gram.hpp"
 
 namespace gppm::stats {
 namespace {
@@ -172,13 +175,127 @@ TEST(ForwardSelectionParity, IncrementalMatchesNaiveOnRandomProblems) {
 
 TEST(ForwardSelectionParity, ParallelMatchesSerial) {
   // Deterministic fan-out: per-candidate score slots plus a serial argmax
-  // make the result independent of thread count.
-  const Problem prob = seeded_problem(101, 0.8, 120, 80);
-  const SelectionResult serial =
-      run_engine(prob, SelectionEngine::IncrementalGram, false, 10);
-  const SelectionResult parallel =
-      run_engine(prob, SelectionEngine::IncrementalGram, true, 10);
-  expect_exact_parity(serial, parallel);
+  // make the result independent of thread count.  The second problem is
+  // past the size at which a parallel fit fans out over the pool.
+  const std::size_t wide = 64;
+  ASSERT_TRUE(linalg::parallel_pays(linalg::kParallelMinCells / wide, wide));
+  for (const Problem& prob :
+       {seeded_problem(101, 0.8, 120, 80),
+        seeded_problem(101, 0.8, linalg::kParallelMinCells / wide, wide)}) {
+    SCOPED_TRACE(std::to_string(prob.x.rows()) + " x " +
+                 std::to_string(prob.x.cols()));
+    const SelectionResult serial =
+        run_engine(prob, SelectionEngine::IncrementalGram, false, 10);
+    const SelectionResult parallel =
+        run_engine(prob, SelectionEngine::IncrementalGram, true, 10);
+    expect_exact_parity(serial, parallel);
+  }
+}
+
+/// The strided std::min/std::max scan the engines screened columns with
+/// before the screen moved onto the column panel.
+bool strided_constant_scan(const linalg::Matrix& m, std::size_t c) {
+  double lo = m(0, c), hi = m(0, c);
+  for (std::size_t i = 1; i < m.rows(); ++i) {
+    lo = std::min(lo, m(i, c));
+    hi = std::max(hi, m(i, c));
+  }
+  const double magnitude = std::max(std::abs(lo), std::abs(hi));
+  return hi - lo <= magnitude * 1e-12;
+}
+
+TEST(ForwardSelection, PanelScreenFlagsWhatTheStridedScanFlags) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Row counts below, at and past the screen's eight lanes, with a tail.
+  for (std::size_t n : {3u, 8u, 37u, 800u}) {
+    SCOPED_TRACE("rows=" + std::to_string(n));
+    gppm::Rng rng(n);
+    struct Column {
+      const char* name;
+      std::vector<double> v;
+      int expected;  // 1 constant, 0 not, -1 not pinned
+    };
+    std::vector<Column> cols;
+    const auto column = [&](const char* name, int expected, auto value) {
+      Column c{name, std::vector<double>(n), expected};
+      for (std::size_t i = 0; i < n; ++i) c.v[i] = value(i);
+      cols.push_back(std::move(c));
+    };
+    const std::size_t mid = n / 2;
+    column("all zero", 1, [](std::size_t) { return 0.0; });
+    column("constant", 1, [](std::size_t) { return 7.5; });
+    column("constant to 1e-13", 1, [&](std::size_t) {
+      return 1e9 * (1.0 + 1e-13 * rng.uniform());
+    });
+    column("spread 1e-11", 0, [&](std::size_t i) {
+      return 1e9 * (1.0 + (i == mid ? 1e-11 : 0.0));
+    });
+    column("mixed +-0.0", 1,
+           [](std::size_t i) { return i % 3 == 1 ? -0.0 : 0.0; });
+    column("-0.0 first, then +-0.0", 1,
+           [](std::size_t i) { return i % 2 == 0 ? -0.0 : 0.0; });
+    column("+-0.0 and one value", 0, [&](std::size_t i) {
+      return i == mid ? 2.0 : (i % 2 ? -0.0 : 0.0);
+    });
+    column("random", 0, [&](std::size_t) { return rng.normal(); });
+    column("NaN in row 0, else constant", 0,
+           [&](std::size_t i) { return i == 0 ? nan : 3.0; });
+    column("NaN in row 0, else random", 0,
+           [&](std::size_t i) { return i == 0 ? nan : rng.normal(); });
+    column("NaN mid-column, else constant", 1,
+           [&](std::size_t i) { return i == mid ? nan : 3.0; });
+    column("NaN last, else constant", 1,
+           [&](std::size_t i) { return i + 1 == n ? nan : 3.0; });
+    column("NaN mid-column, else random", 0,
+           [&](std::size_t i) { return i == mid ? nan : rng.normal(); });
+    column("every value NaN", 0, [&](std::size_t) { return nan; });
+    column("+inf mid-column", -1,
+           [&](std::size_t i) { return i == mid ? inf : rng.normal(); });
+    column("-inf mid-column", -1,
+           [&](std::size_t i) { return i == mid ? -inf : 1.0; });
+    column("+inf and -inf", -1, [&](std::size_t i) {
+      return i == 0 ? inf : (i + 1 == n ? -inf : 0.5);
+    });
+    column("every value +inf", -1, [&](std::size_t) { return inf; });
+    column("+inf in row 0, NaN after", -1, [&](std::size_t i) {
+      return i == 0 ? inf : (i == mid ? nan : 1.0);
+    });
+
+    linalg::Matrix m(n, cols.size());
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      for (std::size_t i = 0; i < n; ++i) m(i, c) = cols[c].v[i];
+    }
+    const linalg::Matrix panel = m.transposed();
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      SCOPED_TRACE(cols[c].name);
+      const bool screen = is_constant_column(panel.row_ptr(c), n);
+      EXPECT_EQ(screen, strided_constant_scan(m, c));
+      if (cols[c].expected >= 0) {
+        EXPECT_EQ(screen, cols[c].expected == 1);
+      }
+    }
+
+    // One NaN at every row past the first, in a constant and in a random
+    // column: the screen must skip it wherever it falls, vector lanes and
+    // tail alike.
+    std::vector<double> constant(n, 3.0), random(n);
+    for (double& v : random) v = rng.normal();
+    for (std::size_t at = 1; at < n; ++at) {
+      SCOPED_TRACE("NaN at row " + std::to_string(at));
+      for (const std::vector<double>* base : {&constant, &random}) {
+        std::vector<double> v = *base;
+        v[at] = nan;
+        linalg::Matrix one(n, 1);
+        for (std::size_t i = 0; i < n; ++i) one(i, 0) = v[i];
+        const bool screen = is_constant_column(v.data(), n);
+        EXPECT_EQ(screen, strided_constant_scan(one, 0));
+        if (base == &constant) {
+          EXPECT_TRUE(screen);
+        }
+      }
+    }
+  }
 }
 
 TEST(ForwardSelectionParity, MatchesNaiveWithDegenerateColumns) {

@@ -1032,9 +1032,10 @@ int cmd_obs_demo(cli::Flags& flags) {
   flags.parse();
   // A small pass through every instrumented layer, so the obs wiring can be
   // eyeballed end to end: a resilient sweep under a light fault plan (sweep.*
-  // counters + spans), a parallel forward selection (select.* and parallel.*),
-  // and a burst against the prediction server (serve.* via the metrics
-  // bridge).
+  // counters + spans), a leave-one-benchmark-out cross-validation whose
+  // folds run forward selection over the compute pool (select.* and
+  // parallel.*; one board's selection alone is too small to fan out), and a
+  // burst against the prediction server (serve.* via the metrics bridge).
   gppm::obs::set_enabled(true);
 
   std::cout << "[1/3] resilient sweep under the default fault profile...\n";
@@ -1047,17 +1048,13 @@ int cmd_obs_demo(cli::Flags& flags) {
   std::cout << "  " << sweep.results.size() << "/" << sweep.total_cells()
             << " cells covered\n";
 
-  std::cout << "[2/3] parallel forward selection on the GTX 460 corpus...\n";
+  std::cout << "[2/3] cross-validated forward selection on the GTX 460 "
+               "corpus (folds in parallel)...\n";
   const core::Dataset ds = core::build_dataset(sim::GpuModel::GTX460);
-  const core::RegressionTable table =
-      core::build_table(ds, core::TargetKind::Power);
-  stats::SelectionOptions sopt;
-  sopt.max_variables = 10;
-  sopt.parallel = true;
-  const stats::SelectionResult sel =
-      stats::forward_select(table.features, table.target, sopt);
-  std::cout << "  selected " << sel.selected.size() << " variables, adj R^2 "
-            << format_double(sel.r2_trace.back(), 3) << "\n";
+  const core::Evaluation cv =
+      core::cross_validate(ds, core::TargetKind::Power);
+  std::cout << "  " << cv.rows.size() << " held-out predictions, MAPE "
+            << format_double(cv.mape(), 2) << "%\n";
 
   std::cout << "[3/3] prediction-server burst...\n";
   serve::PredictionServer server;

@@ -21,8 +21,9 @@
 #      zero-copy span-aliasing fuzz where ASan can catch a dangling
 #      payload view), the obs_smoke and serve_smoke targets (every
 #      recorded latency picks a histogram bin from a double), and the
-#      linalg, stats, net and cluster binaries (QR, Gram and selection
-#      loops index raw column pointers; obs::Scopes read net and cluster
+#      linalg, stats, core, net and cluster binaries (QR, Gram, screen and
+#      selection loops index raw column pointers, build_table writes rows
+#      through raw row pointers; obs::Scopes read net and cluster
 #      components while they are destroyed);
 #   5. benchmark: benchmark/run.sh --smoke (every workload at a tenth of
 #      its run length, correctness checks included), then the benchmark's
@@ -84,16 +85,16 @@ done
 [ -z "$tsan_failed" ] \
   || { echo "FAIL: TSan smoke targets failed:$tsan_failed" >&2; exit 1; }
 
-echo "== ASan: build + smokes + linalg/stats/net/cluster suites =="
+echo "== ASan: build + smokes + linalg/stats/core/net/cluster suites =="
 cmake -B "$repo/build-asan" -S "$repo" -DGPPM_SANITIZE=address >/dev/null
 cmake --build "$repo/build-asan" -j"$jobs" \
-  --target test_fault test_chaos test_simd test_linalg test_stats test_obs \
-           test_serve test_net test_cluster
+  --target test_fault test_chaos test_simd test_linalg test_stats test_core \
+           test_obs test_serve test_net test_cluster
 cmake --build "$repo/build-asan" --target chaos_smoke
 cmake --build "$repo/build-asan" --target simd_smoke
 cmake --build "$repo/build-asan" --target obs_smoke
 cmake --build "$repo/build-asan" --target serve_smoke
-for suite in test_linalg test_stats test_net test_cluster; do
+for suite in test_linalg test_stats test_core test_net test_cluster; do
   echo "-- $suite"
   "$repo/build-asan/tests/$suite" --gtest_brief=1
 done
