@@ -10,13 +10,14 @@
 // repetition of the paper-scale scenario only (used by the `bench`-labeled
 // ctest smoke).
 
+#include <algorithm>
 #include <chrono>
-#include <memory>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -243,19 +244,25 @@ MicrobenchResult microbench_dot(int reps, int iters) {
   return m;
 }
 
-/// The pre-panel Gram build: every cross term walks two row-major columns
-/// at stride p — the code path GramSystem used before the transpose-once
-/// column panel.
+/// The pre-panel Gram build: every column norm and every entry of every
+/// Gram column walks two row-major columns at stride p — the code path
+/// GramSystem used before the transpose-once column panel, doing the work
+/// of build_gram_system plus one GramSystem::column per candidate.
 double baseline_gram_strided_ms(const Matrix& x, int reps) {
   const std::size_t n = x.rows(), p = x.cols();
+  const double* base = x.row_ptr(0);
   double best = 0.0;
   double sink = 0.0;
   for (int r = 0; r < reps; ++r) {
     const double t0 = now_ms();
     for (std::size_t j = 0; j < p; ++j) {
-      for (std::size_t i = 0; i <= j; ++i) {
-        sink += gppm::simd::dot_strided(x.row_ptr(0) + i, x.row_ptr(0) + j, n,
-                                        p, p);
+      sink += gppm::simd::dot_strided(base + j, base + j, n, p, p);
+    }
+    for (std::size_t a = 0; a < p; ++a) {
+      for (std::size_t d = 0; d < p; ++d) {
+        if (d == a) continue;
+        sink += gppm::simd::dot_strided(base + std::min(a, d),
+                                        base + std::max(a, d), n, p, p);
       }
     }
     const double elapsed = now_ms() - t0;
@@ -266,7 +273,8 @@ double baseline_gram_strided_ms(const Matrix& x, int reps) {
 }
 
 MicrobenchResult microbench_gram(int reps) {
-  // Candidate-scoring scale: the scaled selection problem's Gram build.
+  // Candidate-scoring scale: the scaled selection problem's Gram system
+  // and every one of its columns.
   gppm::Rng rng(1234);
   const std::size_t n = 2048, p = 192;
   Matrix x(n, p);
@@ -276,14 +284,20 @@ MicrobenchResult microbench_gram(int reps) {
     y[i] = rng.normal();
   }
   MicrobenchResult m;
+  Vector column(p + 1);
+  double sink = 0.0;
   for (int r = 0; r < reps; ++r) {
     const double t0 = now_ms();
-    const gppm::linalg::GramSystem gs =
-        gppm::linalg::build_gram_system(x, y, /*parallel=*/false);
+    const gppm::linalg::GramSystem gs = gppm::linalg::build_gram_system(x, y);
+    for (std::size_t a = 1; a <= p; ++a) {
+      gs.column(a, column.data());
+      sink += column[p - a + 1];
+    }
     const double elapsed = now_ms() - t0;
     if (gs.n_rows != n) std::abort();
     if (r == 0 || elapsed < m.simd_ms) m.simd_ms = elapsed;
   }
+  if (sink == 0.12345) std::cout << "";
   m.scalar_ms = baseline_gram_strided_ms(x, reps);
   m.speedup = m.simd_ms > 0.0 ? m.scalar_ms / m.simd_ms : 0.0;
   return m;
@@ -506,6 +520,18 @@ int main(int argc, char** argv) {
          << "    \"select.score_ms\": 1.462,\n"
          << "    \"select.confirm_ms\": 5.058,\n"
          << "    \"other_ms\": 0.451\n  },\n";
+    // The pass immediately before the Gram columns on demand, the scorer's
+    // kept substitution rows and the once-sized confirm QR (per-stage
+    // medians of 8 runs alternating with the change, pinned to one CPU of
+    // a 4-vCPU Xeon VM).
+    json << "  \"fit_stages_before_gram_on_demand\": {\n"
+         << "    \"wall_ms\": 10.193,\n"
+         << "    \"core.build_table_ms\": 0.804,\n"
+         << "    \"select.screen_ms\": 0.100,\n"
+         << "    \"select.gram_ms\": 3.234,\n"
+         << "    \"select.score_ms\": 1.098,\n"
+         << "    \"select.confirm_ms\": 4.516,\n"
+         << "    \"other_ms\": 0.420\n  },\n";
     json_microbench(json, "microbench_dot", dot_micro);
     json_microbench(json, "microbench_gram", gram_micro);
     for (std::size_t i = 0; i < runs.size(); ++i) {

@@ -68,6 +68,8 @@ ModelFamily ModelFamily::fit(const Dataset& dataset, TargetKind target,
     model.gpu_ = dataset.model;
     model.intercept_ = prefix.intercept;
     model.adjusted_r2_ = prefix.adjusted_r_squared;
+    model.variables_.reserve(k);
+    model.counter_indices_.reserve(k);
     for (std::size_t i = 0; i < k; ++i) {
       const std::size_t col = result.selected[i];
       SelectedVariable var;

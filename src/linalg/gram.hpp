@@ -2,10 +2,17 @@
 //
 // Forward selection scores hundreds of candidate fits that all share one
 // sample matrix X.  Instead of refactorizing a design matrix per trial, the
-// Gram system is built once — G = X^T X and c = X^T y over the *full*
-// candidate set plus an implicit intercept column — and every trial fit is
-// then answered from submatrices of G in O(k^2) via Cholesky (see
-// stats/forward_selection.cpp).
+// Gram system holds what every trial fit reads — c = X^T y over the *full*
+// candidate set plus an implicit intercept column, and the column panel
+// from which any column of G = X^T X is computed on demand — and every
+// trial fit is then answered from entries of G via Cholesky (see
+// stats/gram_scorer.hpp).
+//
+// Columns of G are computed on demand, not built as one (p+1)^2 matrix:
+// selection to K variables reads only the columns of the K accepted terms,
+// so it costs O(K p n) instead of the O(p^2 n) of the full matrix.  The
+// build itself is O(p n): the column panel, the column scales, the
+// intercept row and X^T y.
 //
 // Columns are normalized to unit Euclidean length (the same equilibration
 // lstsq applies), which keeps the Gram matrix conditioned even though raw
@@ -23,28 +30,45 @@ namespace gppm::linalg {
 /// with unit-normalized columns.  Design index 0 is the intercept; candidate
 /// column j of X is design index j + 1.
 struct GramSystem {
-  Matrix gram;       ///< (p+1) x (p+1) normalized X^T X, unit diagonal
+  /// (p+1) normalized intercept row of X^T X: 1 first, then each
+  /// candidate's column sum over (sqrt(n) times its scale), 0 for a zero
+  /// column.
+  Vector intercept;
   Vector xty;        ///< (p+1) normalized X^T y
   Vector col_scale;  ///< per-design-column Euclidean norm (0 for zero cols)
   /// Transpose-once column panel: row j is candidate column j of X stored
-  /// contiguously (p x n).  Built once per system so every column dot in
-  /// the Gram accumulation — and any later streaming refit against the
-  /// same sample block — is a contiguous SIMD kernel instead of a
-  /// cols()-strided walk over the row-major sample matrix.
+  /// contiguously (p x n).  Built once per system so every column dot of
+  /// a Gram column — and any later streaming refit against the same
+  /// sample block — is a contiguous SIMD kernel instead of a cols()-strided
+  /// walk over the row-major sample matrix.
   Matrix panel;
   double yty = 0.0;  ///< y^T y
   double tss = 0.0;  ///< total sum of squares about the mean of y
   std::size_t n_rows = 0;
   std::size_t n_candidates = 0;
+
+  /// Write design column a of the normalized X^T X into out (p+1 doubles):
+  /// entry d is 1 for d == a, 0 when column a or d is all-zero, the
+  /// intercept row's entry when a or d is 0, and otherwise
+  /// simd::dot(panel row lo, panel row hi) / (s_lo * s_hi) over the lower
+  /// and higher candidate index of a and d.  So entry d of column a equals
+  /// entry a of column d bit for bit.  With `parallel` set and a sample
+  /// matrix past kParallelMinCells, the entries fan out over the shared
+  /// compute pool; each entry is produced by exactly one task with a fixed
+  /// summation order (the common/simd.hpp 8-lane tree, identical on every
+  /// backend), so the column is bit-identical to the serial one and to a
+  /// -DGPPM_SIMD=off build's.
+  void column(std::size_t a, double* out, bool parallel = false) const;
 };
 
 /// Smallest sample matrix, in rows x candidates, over which a fit asked to
-/// run in parallel (the Gram build and forward selection's candidate
+/// run in parallel (Gram columns and forward selection's candidate
 /// scoring) actually fans out over the shared compute pool.  Below it the
 /// pool's hand-offs cost more than the split saves.  Set from
-/// bench_selection_speedup's two problems: at paper scale (798 x 74, 59k
-/// cells, cap 20) the fan-out ran 0.88x serial, at 2048 x 192 (393k cells)
-/// 1.80x.
+/// bench_selection_speedup's two problems while the whole Gram matrix was
+/// built: at paper scale (798 x 74, 59k cells, cap 20) the fan-out ran
+/// 0.88x serial, at 2048 x 192 (393k cells) 1.80x.  With Gram columns on
+/// demand the latter reads 1.07x (BENCH_selection.json).
 inline constexpr std::size_t kParallelMinCells = std::size_t{1} << 17;
 
 /// True when a fit over a rows x cols sample matrix is large enough to fan
@@ -53,13 +77,9 @@ inline bool parallel_pays(std::size_t rows, std::size_t cols) {
   return rows * cols >= kParallelMinCells;
 }
 
-/// Build the Gram system.  With `parallel` set and a sample matrix past
-/// kParallelMinCells, the O(p^2 n) entry computation fans out over the
-/// shared compute pool; each Gram entry is produced by exactly one task with
-/// a fixed summation order (the common/simd.hpp 8-lane tree, identical on
-/// every backend), so the result is bit-identical to the serial build and
-/// to a -DGPPM_SIMD=off build.
-GramSystem build_gram_system(const Matrix& candidates, const Vector& y,
-                             bool parallel = false);
+/// Build the Gram system's O(p n) parts: the column panel, the column
+/// scales, the intercept row, X^T y, y^T y and tss.  Gram columns come
+/// from GramSystem::column.
+GramSystem build_gram_system(const Matrix& candidates, const Vector& y);
 
 }  // namespace gppm::linalg

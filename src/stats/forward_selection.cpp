@@ -6,11 +6,10 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "common/simd.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/gram.hpp"
 #include "linalg/lstsq.hpp"
 #include "obs/obs.hpp"
+#include "stats/gram_scorer.hpp"
 
 namespace gppm::stats {
 
@@ -33,6 +32,14 @@ struct SelectionInstruments {
     return *in;
   }
 };
+
+// Registered when the library loads, not at the first fit's first step:
+// registered there, the registry's nodes were allocated above that fit's
+// buffers and, as the highest live blocks of the heap, kept it from
+// shrinking after later fits (about 2 MB more stayed resident after the
+// served workloads' setup fits).
+[[maybe_unused]] SelectionInstruments& registered_at_load =
+    SelectionInstruments::instance();
 
 }  // namespace
 
@@ -149,100 +156,6 @@ SelectionResult forward_select_naive(const linalg::Matrix& candidates,
   return result;
 }
 
-/// Incremental engine: score candidates from the precomputed Gram system by
-/// a one-column Cholesky append in O(k^2), and confirm the leaders by a
-/// one-column QR append in O(n k).
-///
-/// State invariants, all in the column-normalized design of the GramSystem
-/// (design index 0 = intercept, candidate c = c + 1):
-///   l       = Cholesky factor of gram[model, model] (row-grown, k x k)
-///   z       = l^{-1} xty[model], so rss = y^T y - |z|^2
-/// Appending design column d to the model extends the factor by
-///   w = l^{-1} gram[model, d],   pivot s = 1 - |w|^2,
-///   z_d = (xty[d] - w.z) / sqrt(s),   rss' = rss - z_d^2,
-/// which prices every candidate's exact OLS residual in O(k^2).
-class IncrementalState {
- public:
-  /// Scoring writes candidate c's forward-substitution vector into row c of
-  /// `scratch` (one row per candidate, one column per model term up to the
-  /// cap: the model holds at most `cap` columns, intercept included, while
-  /// it is still scored), so a score allocates nothing and concurrent
-  /// scores of distinct candidates share no memory.
-  IncrementalState(const linalg::GramSystem& gs, linalg::Matrix& scratch)
-      : gs_(gs),
-        model_{0},
-        lrows_{{1.0}},
-        z_{gs.xty[0]},
-        w_(scratch) {
-    rss_ = gs_.yty - z_[0] * z_[0];
-  }
-
-  /// Adjusted R^2 of the model extended with candidate c, or NaN when c is
-  /// numerically collinear with the current model.
-  double score(std::size_t c) {
-    GPPM_ASSERT(model_.size() <= w_.cols());
-    double s = 0.0, zd = 0.0;
-    if (!try_append(c, w_.row_ptr(c), s, zd)) {
-      return std::numeric_limits<double>::quiet_NaN();
-    }
-    double rss = rss_ - zd * zd;
-    if (rss < 0.0) rss = 0.0;
-    const double n = static_cast<double>(gs_.n_rows);
-    const double k = static_cast<double>(model_.size());  // params incl. new
-    if (gs_.tss <= 0.0) return 1.0;
-    const double r2 = 1.0 - rss / gs_.tss;
-    return 1.0 - (1.0 - r2) * (n - 1.0) / (n - k - 1.0);
-  }
-
-  /// Extend the model with candidate c (must have scored non-NaN).
-  void accept(std::size_t c) {
-    linalg::Vector w(model_.size() + 1);
-    double s = 0.0, zd = 0.0;
-    GPPM_CHECK(try_append(c, w.data(), s, zd),
-               "accepting a collinear candidate");
-    w.back() = std::sqrt(s);
-    lrows_.push_back(std::move(w));
-    z_.push_back(zd);
-    rss_ -= zd * zd;
-    if (rss_ < 0.0) rss_ = 0.0;
-    model_.push_back(c + 1);
-  }
-
- private:
-  /// Pivot tolerance matching the QR engine's rank test: QR flags a trial
-  /// design rank-deficient when the new diagonal of R falls below 1e-12 of
-  /// the largest (all <= 1 after normalization); s is that diagonal squared.
-  static constexpr double kPivotTol = 1e-24;
-
-  /// Forward substitution into w (model_.size() entries).  The Gram entries
-  /// are read along row d, which equals column d bit for bit: every
-  /// off-diagonal entry is written to both halves from one value.
-  bool try_append(std::size_t c, double* w, double& s, double& zd) const {
-    const std::size_t d = c + 1;
-    const std::size_t k = model_.size();
-    if (gs_.col_scale[d] <= 0.0) return false;  // all-zero column
-    // The subtracted cross term is one contiguous SIMD dot per row of the
-    // row-grown factor.
-    const double* gram_d = gs_.gram.row_ptr(d);
-    for (std::size_t i = 0; i < k; ++i) {
-      const double acc = gram_d[model_[i]] - simd::dot(lrows_[i].data(), w, i);
-      w[i] = acc / lrows_[i][i];
-    }
-    s = 1.0 - simd::dot(w, w, k);
-    const double wz = simd::dot(w, z_.data(), k);
-    if (s <= kPivotTol) return false;
-    zd = (gs_.xty[d] - wz) / std::sqrt(s);
-    return true;
-  }
-
-  const linalg::GramSystem& gs_;
-  std::vector<std::size_t> model_;        ///< design indices, intercept first
-  std::vector<linalg::Vector> lrows_;     ///< growable lower-triangular factor
-  linalg::Vector z_;
-  linalg::Matrix& w_;                     ///< per-candidate scoring scratch
-  double rss_ = 0.0;
-};
-
 SelectionResult forward_select_incremental(const linalg::Matrix& candidates,
                                            const linalg::Vector& y,
                                            const SelectionOptions& options) {
@@ -252,17 +165,12 @@ SelectionResult forward_select_incremental(const linalg::Matrix& candidates,
       options.parallel &&
       linalg::parallel_pays(candidates.rows(), candidates.cols());
 
-  // The scoring scratch is allocated ahead of the Gram system.  Allocated
-  // after it, and changing nothing else, the Gram build and the QR confirms
-  // ran 8-11% slower (bench_selection_speedup's fit_stages, 8 alternating
-  // runs): the allocation order moves where their large buffers land.
-  linalg::Matrix scratch(n_candidates, cap);
   const linalg::GramSystem gs = [&] {
     obs::ObsSpan span("select.gram");
-    return linalg::build_gram_system(candidates, y, options.parallel);
+    return linalg::build_gram_system(candidates, y);
   }();
   std::vector<bool> used = excluded_columns(gs.panel);
-  IncrementalState state(gs, scratch);
+  GramScorer scorer(gs, cap);
 
   // The accepted model's design [1 | selected...] in one QR, grown by one
   // column per accepted variable and read from the Gram system's column
@@ -292,7 +200,7 @@ SelectionResult forward_select_incremental(const linalg::Matrix& candidates,
   std::vector<bool> confirmed(n_candidates);
   std::vector<OlsFit> exact_fits(n_candidates);
 
-  // Replace candidate c's O(k^2) score with its exact QR adjusted R^2 (NaN
+  // Replace candidate c's Gram score with its exact QR adjusted R^2 (NaN
   // if the trial design is rank-deficient), in O(n k): the trial design is
   // the accepted one plus column c, so its QR is the accepted QR plus one
   // appended column, bit for bit what ols_fit computes from scratch.
@@ -313,9 +221,15 @@ SelectionResult forward_select_incremental(const linalg::Matrix& candidates,
   while (result.selected.size() < cap) {
     obs::ObsSpan step_span("select.step");
     SelectionInstruments::instance().steps.add();
+    {
+      // The Gram column of the term accepted last step, computed here
+      // rather than at the accept, so the run's last accept costs none.
+      obs::ObsSpan gram_span("select.gram");
+      scorer.fill_columns(fan_out);
+    }
     const auto score_one = [&](std::size_t c) {
       scores[c] = used[c] ? std::numeric_limits<double>::quiet_NaN()
-                          : state.score(c);
+                          : scorer.score(c);
     };
     {
       obs::ObsSpan score_span("select.score");
@@ -380,7 +294,7 @@ SelectionResult forward_select_incremental(const linalg::Matrix& candidates,
         break;
       }
 
-      state.accept(best_c);
+      scorer.accept(best_c);
       append_trial(best_c);
       trial = n_candidates;  // the winner's column stays for good
       used[best_c] = true;

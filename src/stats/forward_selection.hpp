@@ -9,17 +9,22 @@
 //
 //  * NaiveQr — the reference: every trial model is refit from scratch by QR
 //    least squares, O(steps x candidates x n k^2).
-//  * IncrementalGram (default) — the Gram matrix G = X^T X and X^T y are
-//    built once; each trial is scored in O(k^2) by appending one column to a
-//    Cholesky factor of the selected submatrix.  The step's leaders are then
-//    confirmed exactly by QR: the engine keeps one Householder QR of the
-//    accepted design [1 | selected...] and confirms a candidate by
-//    appending its column, solving and dropping it again — O(n k) instead
-//    of an O(n k^2) refit.  Householder QR is column-sequential and every
+//  * IncrementalGram (default) — X^T y and the Gram system's O(p n) parts
+//    are built once; each trial is scored by extending one column of a
+//    Cholesky factor of the selected submatrix of G = X^T X
+//    (stats/gram_scorer.hpp).  Columns of G are computed on demand, one
+//    per accepted variable, so a run to K variables costs O(K p n) in
+//    Gram entries instead of the O(p^2 n) of the full matrix, and each
+//    candidate's substitution grows by one entry per step, O(k) per score.
+//    The step's leaders are then confirmed exactly by QR: the engine keeps
+//    one Householder QR of the accepted design [1 | selected...] and
+//    confirms a candidate by appending its column, solving and dropping it
+//    again — O(n k) instead of an O(n k^2) refit.  Householder QR is column-sequential and every
 //    reduction keeps ols_fit's order, so a confirmed fit is bit for bit the
 //    ols_fit of the trial design, and selected sets, R^2 traces and
-//    coefficients are identical to NaiveQr's.  Candidate scoring within a
-//    step can additionally fan out over the shared compute pool.
+//    coefficients are identical to NaiveQr's.  Gram columns and candidate
+//    scoring within a step can additionally fan out over the shared
+//    compute pool.
 #pragma once
 
 #include <cstddef>
@@ -55,7 +60,7 @@ struct SelectionOptions {
   /// avoids adding numerically useless columns).
   double min_improvement = 1e-9;
   SelectionEngine engine = SelectionEngine::IncrementalGram;
-  /// Fan the Gram build and candidate scoring within a step out over the
+  /// Fan the Gram columns and candidate scoring within a step out over the
   /// shared compute pool (IncrementalGram only), when the sample matrix has
   /// at least linalg::kParallelMinCells cells; smaller fits run serially.
   /// The argmax reduction is serial and ties break on the lowest column

@@ -60,10 +60,12 @@ TEST(ClusterSupervisor, RestartsAKilledNode) {
   FleetOptions fopt;
   fopt.backends = 2;
   LocalFleet fleet(power_model(), perf_model(), fopt, quiet_router());
-  Supervisor supervisor(fleet, fast_supervisor());
-
+  // Killed before the supervisor starts: with it already probing every
+  // 2 ms, a test thread descheduled for a few ms between the kill and the
+  // check below would find the node restarted.
   fleet.kill(0);
   ASSERT_FALSE(fleet.alive(0));
+  Supervisor supervisor(fleet, fast_supervisor());
 
   EXPECT_TRUE(eventually([&] { return fleet.alive(0); }, 3000))
       << "supervisor never restarted the killed node";

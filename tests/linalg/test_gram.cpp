@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -31,12 +32,16 @@ TEST(GramSystem, MatchesExplicitNormalEquations) {
   for (auto& v : y) v = rng.normal();
 
   const GramSystem gs = build_gram_system(x, y);
-  ASSERT_EQ(gs.gram.rows(), p + 1);
+  ASSERT_EQ(gs.intercept.size(), p + 1);
   ASSERT_EQ(gs.n_rows, n);
   ASSERT_EQ(gs.n_candidates, p);
 
-  // Check against the explicitly-built normalized design [1/sqrt(n) | X D^-1].
+  // Check every column against the explicitly-built normalized design
+  // [1/sqrt(n) | X D^-1].
+  Vector column(p + 1);
   for (std::size_t i = 0; i <= p; ++i) {
+    gs.column(i, column.data());
+    EXPECT_EQ(gs.intercept[i], i == 0 ? 1.0 : column[0]);
     for (std::size_t j = 0; j <= p; ++j) {
       double raw = 0.0;
       for (std::size_t r = 0; r < n; ++r) {
@@ -45,7 +50,7 @@ TEST(GramSystem, MatchesExplicitNormalEquations) {
         raw += vi * vj;
       }
       const double expected = raw / (gs.col_scale[i] * gs.col_scale[j]);
-      EXPECT_NEAR(gs.gram(i, j), expected, 1e-12 * std::abs(expected) + 1e-14)
+      EXPECT_NEAR(column[j], expected, 1e-12 * std::abs(expected) + 1e-14)
           << "entry " << i << "," << j;
     }
   }
@@ -58,23 +63,29 @@ TEST(GramSystem, MatchesExplicitNormalEquations) {
   }
 }
 
-TEST(GramSystem, ParallelBuildIsBitIdentical) {
+TEST(GramSystem, ParallelColumnIsBitIdentical) {
   // The first size stays serial; the second is past kParallelMinCells,
-  // where the build fans out.
+  // where a column fans out.  One zero column rides along.
   const std::size_t sizes[][2] = {{64, 33}, {kParallelMinCells / 48 + 1, 48}};
   EXPECT_FALSE(parallel_pays(sizes[0][0], sizes[0][1]));
   EXPECT_TRUE(parallel_pays(sizes[1][0], sizes[1][1]));
   for (const auto& [n, p] : sizes) {
-    const Matrix x = random_matrix(n, p, 77);
+    Matrix x = random_matrix(n, p, 77);
+    for (std::size_t r = 0; r < n; ++r) x(r, 3) = 0.0;
     gppm::Rng rng(78);
     Vector y(n);
     for (auto& v : y) v = rng.normal();
 
-    const GramSystem serial = build_gram_system(x, y, /*parallel=*/false);
-    const GramSystem parallel = build_gram_system(x, y, /*parallel=*/true);
-    EXPECT_EQ(serial.gram.max_abs_diff(parallel.gram), 0.0);
-    EXPECT_EQ(serial.xty, parallel.xty);
-    EXPECT_EQ(serial.col_scale, parallel.col_scale);
+    const GramSystem gs = build_gram_system(x, y);
+    Vector serial(p + 1), parallel(p + 1);
+    for (std::size_t a = 0; a <= p; ++a) {
+      gs.column(a, serial.data(), /*parallel=*/false);
+      gs.column(a, parallel.data(), /*parallel=*/true);
+      EXPECT_EQ(std::memcmp(serial.data(), parallel.data(),
+                            serial.size() * sizeof(double)),
+                0)
+          << "column " << a;
+    }
   }
 }
 
@@ -92,12 +103,21 @@ TEST(GramSystem, ZeroColumnGetsZeroScale) {
   for (std::size_t i = 0; i < 5; ++i) x(i, 1) = static_cast<double>(i + 1);
   const GramSystem gs = build_gram_system(x, {1, 2, 3, 4, 5});
   EXPECT_EQ(gs.col_scale[1], 0.0);
-  EXPECT_EQ(gs.gram(1, 1), 0.0);  // never selectable
-  EXPECT_EQ(gs.gram(2, 2), 1.0);
+  EXPECT_EQ(gs.intercept[1], 0.0);
+  EXPECT_EQ(gs.xty[1], 0.0);
+  Vector column(3);
+  gs.column(1, column.data());
+  EXPECT_EQ(column, Vector(3, 0.0));  // never selectable, not even G(1, 1)
+  gs.column(2, column.data());
+  EXPECT_EQ(column[1], 0.0);
+  EXPECT_EQ(column[2], 1.0);
 }
 
 TEST(GramSystem, RejectsMismatchedRows) {
   EXPECT_THROW(build_gram_system(Matrix(4, 2), Vector(3)), gppm::Error);
+  const GramSystem gs = build_gram_system(Matrix(4, 2), Vector(4));
+  Vector column(3);
+  EXPECT_THROW(gs.column(3, column.data()), gppm::Error);
 }
 
 Matrix random_spd(std::size_t n, std::uint64_t seed) {

@@ -6,6 +6,7 @@
 // contract under test is "the SIMD rewrite changed the speed and nothing
 // else" — across backends AND across memory layouts of the same data.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -75,7 +76,7 @@ TEST(SimdLinalgParity, GramPanelIsExactColumnTranspose) {
   const Matrix candidates = random_matrix(rng, n, p);
   Vector y(n);
   for (std::size_t i = 0; i < n; ++i) y[i] = rng.normal();
-  const GramSystem gs = build_gram_system(candidates, y, /*parallel=*/false);
+  const GramSystem gs = build_gram_system(candidates, y);
   ASSERT_EQ(gs.panel.rows(), p);
   ASSERT_EQ(gs.panel.cols(), n);
   for (std::size_t j = 0; j < p; ++j) {
@@ -86,47 +87,66 @@ TEST(SimdLinalgParity, GramPanelIsExactColumnTranspose) {
 }
 
 TEST(SimdLinalgParity, GramEntriesMatchStridedColDotBitwise) {
-  // The Gram builder computes every cross term from the contiguous panel;
-  // the equilibration in lstsq computes the same quantities through the
-  // strided col_dot.  They must agree to the bit or the two engines drift.
+  // GramSystem::column computes every cross term from the contiguous
+  // panel; the equilibration in lstsq computes the same quantities through
+  // the strided col_dot.  They must agree to the bit or the two engines
+  // drift.  Every entry of every column is checked, with one all-zero
+  // column among the candidates and row counts on both sides of the 8-lane
+  // block.
   Rng rng(43);
-  const std::size_t n = 40, p = 6;
-  const Matrix candidates = random_matrix(rng, n, p);
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) y[i] = rng.normal();
-  const GramSystem gs = build_gram_system(candidates, y, /*parallel=*/false);
-  for (std::size_t i = 0; i < p; ++i) {
-    // The diagonal is pinned to exactly 1.0 by construction (the scale IS
-    // the column norm); dot/norm^2 would differ by rounding, so only the
-    // cross terms go through the dot-vs-dot comparison.
-    EXPECT_EQ(bits(gs.gram(i + 1, i + 1)), bits(1.0));
-    for (std::size_t j = 0; j < p; ++j) {
-      if (i == j) continue;
-      const double strided = candidates.col_dot(i, j) /
-                             (gs.col_scale[i + 1] * gs.col_scale[j + 1]);
-      EXPECT_EQ(bits(gs.gram(i + 1, j + 1)), bits(strided))
-          << "i=" << i << " j=" << j;
+  for (std::size_t n : {40ul, 45ul}) {
+    const std::size_t p = 6;
+    Matrix candidates = random_matrix(rng, n, p);
+    for (std::size_t r = 0; r < n; ++r) candidates(r, 4) = 0.0;
+    Vector y(n);
+    for (std::size_t i = 0; i < n; ++i) y[i] = rng.normal();
+    const GramSystem gs = build_gram_system(candidates, y);
+    // The design [1 | X], row-major, for the strided reference.
+    Matrix design(n, p + 1);
+    for (std::size_t r = 0; r < n; ++r) {
+      design(r, 0) = 1.0;
+      for (std::size_t c = 0; c < p; ++c) design(r, c + 1) = candidates(r, c);
+    }
+    Vector column(p + 1);
+    for (std::size_t a = 0; a <= p; ++a) {
+      gs.column(a, column.data());
+      for (std::size_t d = 0; d <= p; ++d) {
+        const std::size_t lo = std::min(a, d), hi = std::max(a, d);
+        double expected = 0.0;
+        if (gs.col_scale[lo] <= 0.0 || gs.col_scale[hi] <= 0.0) {
+          expected = 0.0;  // an all-zero column is never selectable
+        } else if (lo == hi) {
+          // The diagonal is pinned to exactly 1.0 by construction (the
+          // scale IS the column norm); dot/norm^2 would differ by rounding.
+          expected = 1.0;
+        } else {
+          expected = design.col_dot(lo, hi) /
+                     (gs.col_scale[lo] * gs.col_scale[hi]);
+        }
+        EXPECT_EQ(bits(column[d]), bits(expected))
+            << "n=" << n << " a=" << a << " d=" << d;
+      }
     }
   }
 }
 
 TEST(SimdLinalgParity, GramSerialParallelStillBitIdentical) {
-  // Re-pins the pre-existing serial/parallel guarantee on top of the SIMD
-  // kernels: each Gram entry is produced by one task with one fixed
-  // summation tree, so thread count cannot change a single bit.
+  // Re-pins the serial/parallel guarantee on top of the SIMD kernels: each
+  // entry of a Gram column is produced by one task with one fixed summation
+  // tree, so thread count cannot change a single bit.
   Rng rng(47);
   // Past kParallelMinCells, so the pool engages.
   const std::size_t p = 24, n = kParallelMinCells / p + 1;
   const Matrix candidates = random_matrix(rng, n, p);
   Vector y(n);
   for (std::size_t i = 0; i < n; ++i) y[i] = rng.normal();
-  const GramSystem serial = build_gram_system(candidates, y, false);
-  const GramSystem parallel = build_gram_system(candidates, y, true);
-  for (std::size_t i = 0; i <= p; ++i) {
-    EXPECT_EQ(bits(serial.xty[i]), bits(parallel.xty[i]));
-    EXPECT_EQ(bits(serial.col_scale[i]), bits(parallel.col_scale[i]));
-    for (std::size_t j = 0; j <= p; ++j) {
-      EXPECT_EQ(bits(serial.gram(i, j)), bits(parallel.gram(i, j)));
+  const GramSystem gs = build_gram_system(candidates, y);
+  Vector serial(p + 1), parallel(p + 1);
+  for (std::size_t a = 0; a <= p; ++a) {
+    gs.column(a, serial.data(), false);
+    gs.column(a, parallel.data(), true);
+    for (std::size_t d = 0; d <= p; ++d) {
+      EXPECT_EQ(bits(serial[d]), bits(parallel[d]));
     }
   }
 }
