@@ -1,8 +1,7 @@
 // Performance benchmark of the model-fitting pipeline: naive QR-refit
-// forward selection vs the incremental Gram/Cholesky engine, serial and
-// parallel.  Not a paper artifact — this tracks the perf trajectory of the
-// selection hot path, which every table/figure bench and the Fig. 7/8
-// sweeps sit on.
+// forward selection vs the incremental Gram/Cholesky engine.  Not a paper
+// artifact — this tracks the perf trajectory of the selection hot path,
+// which every table/figure bench and the Fig. 7/8 sweeps sit on.
 //
 // Emits BENCH_selection.json (wall times + speedups, and the fit path's
 // stage breakdown) into the working directory so successive runs can be
@@ -52,7 +51,9 @@ struct Problem {
   Matrix x;
   Vector y;
   std::size_t max_variables = 20;
-  bool time_naive = true;  // naive is too slow at the scaled size
+  /// Time the naive engine too; at the scaled size it runs once, untimed,
+  /// for the match check only.
+  bool time_naive = true;
 };
 
 /// The paper-scale problem: the GTX 480 power regression table (one row per
@@ -98,8 +99,7 @@ Problem scaled_problem() {
 struct Timing {
   double naive_ms = 0.0;
   double incremental_ms = 0.0;
-  double parallel_ms = 0.0;
-  bool selected_match = true;
+  bool selected_match = false;
   double max_coeff_abs_diff = 0.0;
   std::size_t rows = 0, candidates = 0, selected = 0;
 };
@@ -129,29 +129,23 @@ Timing run_problem(const Problem& prob, int reps) {
 
   SelectionOptions incr = naive;
   incr.engine = SelectionEngine::IncrementalGram;
-  incr.parallel = false;
-
-  SelectionOptions par = incr;
-  par.parallel = true;
 
   SelectionResult incr_result;
   t.incremental_ms = time_engine(prob, incr, reps, &incr_result);
-  SelectionResult par_result;
-  t.parallel_ms = time_engine(prob, par, reps, &par_result);
   t.selected = incr_result.selected.size();
 
-  t.selected_match = incr_result.selected == par_result.selected;
+  SelectionResult naive_result;
   if (prob.time_naive) {
-    SelectionResult naive_result;
     t.naive_ms = time_engine(prob, naive, reps, &naive_result);
-    t.selected_match =
-        t.selected_match && naive_result.selected == incr_result.selected;
-    if (t.selected_match) {
-      for (std::size_t i = 0; i < naive_result.fit.coefficients.size(); ++i) {
-        const double d = std::abs(naive_result.fit.coefficients[i] -
-                                  incr_result.fit.coefficients[i]);
-        if (d > t.max_coeff_abs_diff) t.max_coeff_abs_diff = d;
-      }
+  } else {
+    naive_result = gppm::stats::forward_select(prob.x, prob.y, naive);
+  }
+  t.selected_match = naive_result.selected == incr_result.selected;
+  if (t.selected_match) {
+    for (std::size_t i = 0; i < naive_result.fit.coefficients.size(); ++i) {
+      const double d = std::abs(naive_result.fit.coefficients[i] -
+                                incr_result.fit.coefficients[i]);
+      if (d > t.max_coeff_abs_diff) t.max_coeff_abs_diff = d;
     }
   }
   return t;
@@ -401,15 +395,11 @@ void json_scenario(std::ostream& os, const std::string& name, const Timing& t,
   if (has_naive) {
     os << "    \"naive_ms\": " << t.naive_ms << ",\n"
        << "    \"speedup_incremental_vs_naive\": "
-       << (t.incremental_ms > 0 ? t.naive_ms / t.incremental_ms : 0.0) << ",\n"
-       << "    \"speedup_parallel_vs_naive\": "
-       << (t.parallel_ms > 0 ? t.naive_ms / t.parallel_ms : 0.0) << ",\n"
-       << "    \"max_coeff_abs_diff\": " << t.max_coeff_abs_diff << ",\n";
+       << (t.incremental_ms > 0 ? t.naive_ms / t.incremental_ms : 0.0)
+       << ",\n";
   }
   os << "    \"incremental_ms\": " << t.incremental_ms << ",\n"
-     << "    \"parallel_ms\": " << t.parallel_ms << ",\n"
-     << "    \"speedup_parallel_vs_incremental\": "
-     << (t.parallel_ms > 0 ? t.incremental_ms / t.parallel_ms : 0.0) << ",\n"
+     << "    \"max_coeff_abs_diff\": " << t.max_coeff_abs_diff << ",\n"
      << "    \"selected_match\": " << (t.selected_match ? "true" : "false")
      << "\n  }";
 }
@@ -435,7 +425,7 @@ int main(int argc, char** argv) {
   gppm::bench::print_banner(
       "selection speedup",
       "Forward-selection engines: naive QR refit vs incremental "
-      "Gram/Cholesky (serial and parallel fan-out).");
+      "Gram/Cholesky.");
 
   const int reps = smoke ? 1 : 3;
   const FitStages fit_stages = measure_fit_stages(smoke ? 1 : 5);
@@ -457,17 +447,15 @@ int main(int argc, char** argv) {
             << gppm::format_double(gram_micro.speedup, 1) << "x)\n";
 
   gppm::AsciiTable table({"scenario", "rows", "cands", "naive ms",
-                          "incremental ms", "parallel ms", "speedup",
-                          "match"});
+                          "incremental ms", "speedup", "match"});
   for (const auto& [prob, t] : runs) {
     table.add_row(
         {prob.name, std::to_string(t.rows), std::to_string(t.candidates),
          prob.time_naive ? gppm::format_double(t.naive_ms, 2) : "-",
          gppm::format_double(t.incremental_ms, 2),
-         gppm::format_double(t.parallel_ms, 2),
          prob.time_naive
              ? gppm::format_double(t.naive_ms / t.incremental_ms, 1) + "x"
-             : gppm::format_double(t.incremental_ms / t.parallel_ms, 1) + "x",
+             : "-",
          t.selected_match ? "yes" : "NO"});
   }
   table.print(std::cout);
@@ -487,26 +475,25 @@ int main(int argc, char** argv) {
   stages.print(std::cout);
 
   gppm::bench::begin_csv("selection_speedup");
-  std::cout << "scenario,rows,candidates,naive_ms,incremental_ms,parallel_ms,"
+  std::cout << "scenario,rows,candidates,naive_ms,incremental_ms,"
                "selected_match\n";
   for (const auto& [prob, t] : runs) {
     std::cout << prob.name << "," << t.rows << "," << t.candidates << ","
-              << t.naive_ms << "," << t.incremental_ms << "," << t.parallel_ms
-              << "," << (t.selected_match ? 1 : 0) << "\n";
+              << t.naive_ms << "," << t.incremental_ms << ","
+              << (t.selected_match ? 1 : 0) << "\n";
   }
   gppm::bench::end_csv();
 
   {
     std::ofstream json("BENCH_selection.json");
-    json << "{\n  \"schema\": \"gppm.bench_selection.v2\",\n";
+    json << "{\n  \"schema\": \"gppm.bench_selection.v3\",\n";
     gppm::bench::json_env_stamp(json, smoke);
     // Pre-SIMD trajectory anchor: the paper_scale numbers this bench
     // recorded immediately before the vectorized Gram/Cholesky pass
     // (smoke run, 2 threads, scalar strided kernels).
     json << "  \"baseline_pre_simd\": {\n"
          << "    \"paper_scale_naive_ms\": 901.483,\n"
-         << "    \"paper_scale_incremental_ms\": 19.0978,\n"
-         << "    \"paper_scale_parallel_ms\": 19.3017\n  },\n";
+         << "    \"paper_scale_incremental_ms\": 19.0978\n  },\n";
     json_fit_stages(json, "fit_stages", fit_stages);
     // Fit-path trajectory anchor: the fit_stages pass immediately before
     // the row-pointer table build, the panel-side column screen and the

@@ -1,6 +1,8 @@
 #include "common/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
@@ -136,14 +138,23 @@ struct LoopState {
 
 }  // namespace
 
+std::size_t parse_thread_budget(std::string_view text) {
+  constexpr std::size_t kMaxThreads = 256;
+  // Unlike strtoul, from_chars into an unsigned type takes no sign and no
+  // leading space, so "-1" cannot wrap to the largest budget.
+  const char* end = text.data() + text.size();
+  std::size_t v = 0;
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (stop != end) return 0;
+  if (ec == std::errc::result_out_of_range) return kMaxThreads;
+  if (ec != std::errc()) return 0;
+  return std::min(v, kMaxThreads);
+}
+
 std::size_t parallel_threads() {
   static const std::size_t cached = [] {
     if (const char* env = std::getenv("GPPM_THREADS")) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(env, &end, 10);
-      if (end != env && *end == '\0' && v >= 1) {
-        return static_cast<std::size_t>(v > 256 ? 256 : v);
-      }
+      if (const std::size_t v = parse_thread_budget(env)) return v;
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return static_cast<std::size_t>(hw == 0 ? 1 : hw);
@@ -151,13 +162,10 @@ std::size_t parallel_threads() {
   return cached;
 }
 
-bool in_parallel_worker() { return tl_in_worker; }
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  std::size_t min_parallel) {
+void parallel_for(std::size_t n,
+                  const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  const bool serial =
-      n < min_parallel || tl_in_worker || parallel_threads() <= 1;
+  const bool serial = n < 2 || tl_in_worker || parallel_threads() <= 1;
   if (serial) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;

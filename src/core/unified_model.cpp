@@ -38,7 +38,6 @@ ModelFamily ModelFamily::fit(const Dataset& dataset, TargetKind target,
   stats::SelectionOptions sel;
   sel.max_variables = options.max_variables;
   sel.engine = options.engine;
-  sel.parallel = options.parallel;
   const stats::SelectionResult result =
       stats::forward_select(table.features, table.target, sel);
 

@@ -23,9 +23,6 @@ struct ModelOptions {
   bool include_baseline_terms = false;
   /// Selection engine (results are identical; see stats::SelectionEngine).
   stats::SelectionEngine engine = stats::SelectionEngine::IncrementalGram;
-  /// Fan candidate scoring out over the shared compute pool (large fits
-  /// only; see stats::SelectionOptions::parallel).
-  bool parallel = false;
   /// If non-empty, forward selection may only pick features whose name is
   /// in this list (others are zeroed out of the design).  Used to fit a
   /// family on a proven basis — e.g. the mix families restrict candidates

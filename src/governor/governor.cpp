@@ -10,6 +10,10 @@ namespace gppm::governor {
 
 namespace {
 
+/// EMA weight of a new measured ratio in a bias correction that already
+/// holds one (the first replaces the identity prior outright).
+constexpr double kFeedbackAlpha = 0.5;
+
 /// Dense key for a (core, mem) pair inside the bias table.
 int pair_key(sim::FrequencyPair pair) {
   return static_cast<int>(pair.core) * 8 + static_cast<int>(pair.mem);
@@ -116,7 +120,7 @@ FeedbackBias OnlineGovernor::feedback_bias(const std::string& phase_key,
 void OnlineGovernor::update_bias(FeedbackBias& bias, double power_ratio,
                                  double time_ratio) const {
   // First sample replaces the identity prior outright; later samples blend.
-  const double alpha = bias.samples == 0 ? 1.0 : options_.feedback_alpha;
+  const double alpha = bias.samples == 0 ? 1.0 : kFeedbackAlpha;
   bias.power = (1.0 - alpha) * bias.power + alpha * power_ratio;
   bias.time = (1.0 - alpha) * bias.time + alpha * time_ratio;
   ++bias.samples;
@@ -124,7 +128,7 @@ void OnlineGovernor::update_bias(FeedbackBias& bias, double power_ratio,
 
 void OnlineGovernor::update_rel(FeedbackBias& bias, double rel_power,
                                 double rel_time) const {
-  const double alpha = bias.rel_samples == 0 ? 1.0 : options_.feedback_alpha;
+  const double alpha = bias.rel_samples == 0 ? 1.0 : kFeedbackAlpha;
   bias.rel_power = (1.0 - alpha) * bias.rel_power + alpha * rel_power;
   bias.rel_time = (1.0 - alpha) * bias.rel_time + alpha * rel_time;
   ++bias.rel_samples;
@@ -227,14 +231,12 @@ sim::FrequencyPair OnlineGovernor::decide(
   if (d.switched) ++switches_;
   current_ = chosen.pair;
 
-  if (options_.instrument) {
-    GovernorObs& o = governor_obs();
-    o.decisions.add();
-    if (d.switched) {
-      o.switches.add();
-    } else {
-      o.holds.add();
-    }
+  GovernorObs& o = governor_obs();
+  o.decisions.add();
+  if (d.switched) {
+    o.switches.add();
+  } else {
+    o.holds.add();
   }
   return current_;
 }
@@ -257,14 +259,12 @@ void OnlineGovernor::observe(const profiler::ProfileResult& phase_counters,
       refitter_.observation_count() % options_.refit_interval == 0) {
     obs::ObsSpan span("governor.refit");
     refitter_.refit();
-    if (options_.instrument) governor_obs().refits.add();
+    governor_obs().refits.add();
   }
-  if (options_.instrument) {
-    GovernorObs& o = governor_obs();
-    const int rebuilt = refitter_.rebuild_count() - rebuilds_before;
-    if (rebuilt > 0) o.rebuilds.add(static_cast<std::uint64_t>(rebuilt));
-    o.window.set(static_cast<std::int64_t>(refitter_.window_size()));
-  }
+  GovernorObs& o = governor_obs();
+  const int rebuilt = refitter_.rebuild_count() - rebuilds_before;
+  if (rebuilt > 0) o.rebuilds.add(static_cast<std::uint64_t>(rebuilt));
+  o.window.set(static_cast<std::int64_t>(refitter_.window_size()));
 }
 
 void OnlineGovernor::reset(sim::FrequencyPair start) {

@@ -50,10 +50,6 @@ struct OnlineGovernorOptions : core::GovernorOptions {
   /// survive boards whose energy margins are thinner than the model error
   /// (Tesla): the first mispredicted down-clock is also the last.
   bool feedback = true;
-  /// EMA smoothing for the bias corrections (1 = latest ratio wins).
-  double feedback_alpha = 0.5;
-  /// Export governor.* metrics and decision/refit spans.
-  bool instrument = true;
 };
 
 /// Multiplicative measured/predicted correction for one (phase, pair),

@@ -8,6 +8,9 @@ namespace gppm::governor {
 
 namespace {
 
+/// Seed of the loop's profiler noise.
+constexpr std::uint64_t kProfilerSeed = 11;
+
 /// Re-express a profile collected at arbitrary clocks on the models'
 /// training basis.  The corpus collects counters at the default (H-H)
 /// pair, so per-second rates are "events per second of H-H run time"; a
@@ -37,7 +40,7 @@ GovernorLoop::GovernorLoop(sim::GpuModel board,
     : options_(options),
       runner_(board, options.runner),
       controller_(runner_.gpu()),
-      profiler_(options.profiler_seed),
+      profiler_(kProfilerSeed),
       governor_(seed_corpus, std::move(power), std::move(perf),
                 options.governor) {
   GPPM_CHECK(seed_corpus.model == board, "seed corpus board != loop board");

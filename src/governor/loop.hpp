@@ -33,7 +33,6 @@ namespace gppm::governor {
 struct LoopOptions {
   OnlineGovernorOptions governor;
   core::RunnerOptions runner;
-  std::uint64_t profiler_seed = 11;
   /// Also measure every phase at the static default pair and at every
   /// configurable pair (per-phase oracle) for comparison.
   bool measure_baselines = true;

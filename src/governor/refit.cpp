@@ -11,7 +11,6 @@ namespace {
 stats::StreamingOlsOptions to_ols_options(const RefitOptions& options) {
   stats::StreamingOlsOptions ols;
   ols.window = options.window;
-  ols.ridge = options.ridge;
   return ols;
 }
 

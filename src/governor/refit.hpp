@@ -23,8 +23,6 @@ namespace gppm::governor {
 struct RefitOptions {
   /// Streamed (phase, measurement) observations retained per target.
   std::size_t window = 256;
-  /// Prior ridge handed to stats::StreamingOls.
-  double ridge = 1e-6;
 };
 
 /// Maintains online-refitted copies of one board's power and performance

@@ -64,26 +64,6 @@ Vector cholesky_solve(const Matrix& a, const Vector& b) {
   return solve_lower_transposed(l, solve_lower_triangular(l, b));
 }
 
-Matrix cholesky_append(const Matrix& l, const Vector& cross, double diag) {
-  GPPM_CHECK(l.rows() == l.cols(), "L must be square");
-  GPPM_CHECK(cross.size() == l.rows(), "cross-term size mismatch");
-  const std::size_t k = l.rows();
-  // Bordered factor: new row w = L^{-1} cross, new pivot sqrt(diag - |w|^2).
-  const Vector w = k == 0 ? Vector{} : solve_lower_triangular(l, cross);
-  const double s = diag - simd::dot(w.data(), w.data(), w.size());
-  // An exactly dependent column can still leave s a few ulps above zero
-  // (the subtraction cancels to rounding noise), so the positivity test must
-  // be relative to the column's own scale, mirroring the QR rank tolerance.
-  GPPM_CHECK(s > diag * 1e-12, "appended column is linearly dependent");
-  Matrix out(k + 1, k + 1);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) out(i, j) = l(i, j);
-  }
-  for (std::size_t j = 0; j < k; ++j) out(k, j) = w[j];
-  out(k, k) = std::sqrt(s);
-  return out;
-}
-
 Matrix cholesky_update(const Matrix& l, const Vector& v) {
   GPPM_CHECK(l.rows() == l.cols(), "L must be square");
   GPPM_CHECK(v.size() == l.rows(), "update vector size mismatch");

@@ -1,10 +1,11 @@
 // Cholesky factorization of symmetric positive-definite matrices, plus the
-// incremental operations the forward-selection engine is built on.
+// rank-1 operations the online refit engine (stats::StreamingOls) is built
+// on.
 //
-// Used for fast refits inside forward selection where the normal equations
-// are small (<= 21 x 21) and well-conditioned after column scaling.  The
-// append/update/downdate routines let a factor track a growing or rank-1
-// perturbed Gram matrix in O(k^2) instead of refactorizing in O(k^3).
+// The normal equations solved here are small (an intercept plus at most a
+// few tens of selected variables).  The update/downdate routines let a
+// factor track a rank-1 perturbed Gram matrix in O(k^2) instead of
+// refactorizing in O(k^3).
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -24,13 +25,6 @@ Vector solve_lower_triangular(const Matrix& l, const Vector& b);
 
 /// Solve L^T x = y for lower-triangular L (back substitution on L^T).
 Vector solve_lower_transposed(const Matrix& l, const Vector& y);
-
-/// Grow a factor by one row/column: given L with A = L L^T (k x k), the new
-/// column's cross terms `cross` = A[0..k-1, k] and diagonal `diag` = A[k, k],
-/// return the (k+1) x (k+1) factor of the bordered matrix.  Throws
-/// gppm::Error if the bordered matrix is not (numerically) positive definite
-/// — i.e. the appended column is linearly dependent on the existing ones.
-Matrix cholesky_append(const Matrix& l, const Vector& cross, double diag);
 
 /// Factor of the rank-1 update A + v v^T, given L with A = L L^T.  O(k^2).
 Matrix cholesky_update(const Matrix& l, const Vector& v);

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "common/simd.hpp"
 
 namespace gppm::linalg {
@@ -55,7 +54,7 @@ GramSystem build_gram_system(const Matrix& candidates, const Vector& y) {
   return gs;
 }
 
-void GramSystem::column(std::size_t a, double* out, bool parallel) const {
+void GramSystem::column(std::size_t a, double* out) const {
   GPPM_CHECK(a <= n_candidates, "gram column out of range");
   const std::size_t p = n_candidates;
   const double sa = col_scale[a];
@@ -68,12 +67,10 @@ void GramSystem::column(std::size_t a, double* out, bool parallel) const {
     return;
   }
   out[0] = intercept[a];
-  const auto entry = [&](std::size_t j) {
-    const std::size_t d = j + 1;
-    const double sd = col_scale[d];
+  for (std::size_t d = 1; d <= p; ++d) {
     if (d == a) {
       out[d] = 1.0;
-    } else if (sd <= 0.0) {
+    } else if (col_scale[d] <= 0.0) {
       out[d] = 0.0;
     } else {
       const std::size_t lo = std::min(a, d), hi = std::max(a, d);
@@ -81,11 +78,6 @@ void GramSystem::column(std::size_t a, double* out, bool parallel) const {
                          n_rows) /
                (col_scale[lo] * col_scale[hi]);
     }
-  };
-  if (parallel && parallel_pays(n_rows, p)) {
-    gppm::parallel_for(p, entry);
-  } else {
-    for (std::size_t j = 0; j < p; ++j) entry(j);
   }
 }
 

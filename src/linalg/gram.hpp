@@ -52,30 +52,11 @@ struct GramSystem {
   /// intercept row's entry when a or d is 0, and otherwise
   /// simd::dot(panel row lo, panel row hi) / (s_lo * s_hi) over the lower
   /// and higher candidate index of a and d.  So entry d of column a equals
-  /// entry a of column d bit for bit.  With `parallel` set and a sample
-  /// matrix past kParallelMinCells, the entries fan out over the shared
-  /// compute pool; each entry is produced by exactly one task with a fixed
-  /// summation order (the common/simd.hpp 8-lane tree, identical on every
-  /// backend), so the column is bit-identical to the serial one and to a
-  /// -DGPPM_SIMD=off build's.
-  void column(std::size_t a, double* out, bool parallel = false) const;
+  /// entry a of column d bit for bit.  Each dot keeps one fixed summation
+  /// order (the common/simd.hpp 8-lane tree, identical on every backend),
+  /// so the column is bit-identical to a -DGPPM_SIMD=off build's.
+  void column(std::size_t a, double* out) const;
 };
-
-/// Smallest sample matrix, in rows x candidates, over which a fit asked to
-/// run in parallel (Gram columns and forward selection's candidate
-/// scoring) actually fans out over the shared compute pool.  Below it the
-/// pool's hand-offs cost more than the split saves.  Set from
-/// bench_selection_speedup's two problems while the whole Gram matrix was
-/// built: at paper scale (798 x 74, 59k cells, cap 20) the fan-out ran
-/// 0.88x serial, at 2048 x 192 (393k cells) 1.80x.  With Gram columns on
-/// demand the latter reads 1.07x (BENCH_selection.json).
-inline constexpr std::size_t kParallelMinCells = std::size_t{1} << 17;
-
-/// True when a fit over a rows x cols sample matrix is large enough to fan
-/// out (rows * cols >= kParallelMinCells).
-inline bool parallel_pays(std::size_t rows, std::size_t cols) {
-  return rows * cols >= kParallelMinCells;
-}
 
 /// Build the Gram system's O(p n) parts: the column panel, the column
 /// scales, the intercept row, X^T y, y^T y and tss.  Gram columns come

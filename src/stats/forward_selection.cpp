@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "linalg/gram.hpp"
 #include "linalg/lstsq.hpp"
 #include "obs/obs.hpp"
@@ -161,9 +160,6 @@ SelectionResult forward_select_incremental(const linalg::Matrix& candidates,
                                            const SelectionOptions& options) {
   const std::size_t n_candidates = candidates.cols();
   const std::size_t cap = selection_cap(candidates, options);
-  const bool fan_out =
-      options.parallel &&
-      linalg::parallel_pays(candidates.rows(), candidates.cols());
 
   const linalg::GramSystem gs = [&] {
     obs::ObsSpan span("select.gram");
@@ -225,22 +221,13 @@ SelectionResult forward_select_incremental(const linalg::Matrix& candidates,
       // The Gram column of the term accepted last step, computed here
       // rather than at the accept, so the run's last accept costs none.
       obs::ObsSpan gram_span("select.gram");
-      scorer.fill_columns(fan_out);
+      scorer.fill_columns();
     }
-    const auto score_one = [&](std::size_t c) {
-      scores[c] = used[c] ? std::numeric_limits<double>::quiet_NaN()
-                          : scorer.score(c);
-    };
     {
       obs::ObsSpan score_span("select.score");
-      if (fan_out) {
-        // Each slot (score and scratch row) is written by exactly one
-        // iteration, so the fan-out is bit-deterministic; the argmax below
-        // is serial with first-index wins, matching the reference engine's
-        // strict-improvement scan.
-        gppm::parallel_for(n_candidates, score_one);
-      } else {
-        for (std::size_t c = 0; c < n_candidates; ++c) score_one(c);
+      for (std::size_t c = 0; c < n_candidates; ++c) {
+        scores[c] = used[c] ? std::numeric_limits<double>::quiet_NaN()
+                            : scorer.score(c);
       }
       SelectionInstruments::instance().candidates_scored.add(n_candidates);
     }

@@ -22,9 +22,7 @@
 //    again — O(n k) instead of an O(n k^2) refit.  Householder QR is column-sequential and every
 //    reduction keeps ols_fit's order, so a confirmed fit is bit for bit the
 //    ols_fit of the trial design, and selected sets, R^2 traces and
-//    coefficients are identical to NaiveQr's.  Gram columns and candidate
-//    scoring within a step can additionally fan out over the shared
-//    compute pool.
+//    coefficients are identical to NaiveQr's.
 #pragma once
 
 #include <cstddef>
@@ -60,13 +58,6 @@ struct SelectionOptions {
   /// avoids adding numerically useless columns).
   double min_improvement = 1e-9;
   SelectionEngine engine = SelectionEngine::IncrementalGram;
-  /// Fan the Gram columns and candidate scoring within a step out over the
-  /// shared compute pool (IncrementalGram only), when the sample matrix has
-  /// at least linalg::kParallelMinCells cells; smaller fits run serially.
-  /// The argmax reduction is serial and ties break on the lowest column
-  /// index either way, so results do not depend on this flag or the thread
-  /// count.
-  bool parallel = false;
 };
 
 /// Run forward selection of columns of `candidates` against target `y`.

@@ -21,10 +21,10 @@ GramScorer::GramScorer(const linalg::GramSystem& gs, std::size_t cap)
   rss_ = gs_.yty - z_[0] * z_[0];
 }
 
-void GramScorer::fill_columns(bool parallel) {
+void GramScorer::fill_columns() {
   GPPM_CHECK(model_.size() <= columns_.rows(), "model past the scorer's cap");
   for (; filled_ < model_.size(); ++filled_) {
-    gs_.column(model_[filled_], columns_.row_ptr(filled_), parallel);
+    gs_.column(model_[filled_], columns_.row_ptr(filled_));
   }
 }
 

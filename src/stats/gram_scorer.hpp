@@ -40,17 +40,15 @@ class GramScorer {
   std::size_t terms() const { return model_.size(); }
 
   /// Store the Gram column of every model term that has none yet (one
-  /// GramSystem::column per accept; `parallel` is passed to it).  Call it
-  /// before each scoring round, not after an accept, so the last accept of
-  /// a run costs no column.  Requires terms() <= cap.
-  void fill_columns(bool parallel);
+  /// GramSystem::column per accept).  Call it before each scoring round,
+  /// not after an accept, so the last accept of a run costs no column.
+  /// Requires terms() <= cap.
+  void fill_columns();
 
   /// Adjusted R^2 of the model extended with candidate c, or NaN when c is
   /// an all-zero column or numerically collinear with the model.  Extends
-  /// c's stored substitution to the model's terms; each candidate owns its
-  /// row of scratch, so concurrent scores of distinct candidates share no
-  /// memory and allocate nothing.  Requires fill_columns() since the last
-  /// accept.
+  /// c's stored substitution, its own row of scratch, to the model's terms
+  /// and allocates nothing.  Requires fill_columns() since the last accept.
   double score(std::size_t c);
 
   /// Extend the model with candidate c, which must have scored non-NaN

@@ -5,13 +5,21 @@
 
 namespace gppm::stats {
 
+namespace {
+
+/// Tikhonov prior lambda*I added to the Gram matrix: keeps the factor
+/// positive definite before any row arrives and bounds the condition
+/// number after collinear streams.  Negligibly small against real data.
+constexpr double kRidge = 1e-6;
+
+}  // namespace
+
 StreamingOls::StreamingOls(std::size_t dim, StreamingOlsOptions options)
     : dim_(dim), options_(options) {
   GPPM_CHECK(dim_ >= 1, "streaming OLS needs at least one column");
   GPPM_CHECK(options_.window >= 1, "streaming OLS window must be >= 1");
-  GPPM_CHECK(options_.ridge > 0.0, "streaming OLS ridge must be > 0");
   prior_gram_ = linalg::Matrix(dim_, dim_);
-  for (std::size_t i = 0; i < dim_; ++i) prior_gram_(i, i) = options_.ridge;
+  for (std::size_t i = 0; i < dim_; ++i) prior_gram_(i, i) = kRidge;
   prior_rhs_.assign(dim_, 0.0);
   rhs_ = prior_rhs_;
   factor_ = linalg::cholesky(prior_gram_);

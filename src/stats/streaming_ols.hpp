@@ -33,10 +33,6 @@ struct StreamingOlsOptions {
   /// Streamed observations retained; the oldest is evicted beyond this.
   /// Seed rows are permanent and do not count against the window.
   std::size_t window = 256;
-  /// Tikhonov prior lambda*I added to the Gram matrix: keeps the factor
-  /// positive definite before any row arrives and bounds the condition
-  /// number after collinear streams.  Negligibly small against real data.
-  double ridge = 1e-6;
 };
 
 /// Incremental least squares over fixed-dimension rows (the caller supplies
@@ -53,7 +49,8 @@ class StreamingOls {
   /// row once the window is full.
   void observe(const linalg::Vector& x, double y);
 
-  /// Current solution of (G_prior + G_window + ridge I) beta = b.
+  /// Current solution of (G_prior + G_window + lambda I) beta = b, with a
+  /// fixed ridge prior lambda = 1e-6.
   linalg::Vector coefficients() const;
 
   std::size_t dim() const { return dim_; }
@@ -70,7 +67,7 @@ class StreamingOls {
   StreamingOlsOptions options_;
   linalg::Matrix factor_;      ///< Cholesky L of prior + window Gram
   linalg::Vector rhs_;         ///< X^T y over prior + window
-  linalg::Matrix prior_gram_;  ///< ridge I + seeded rows (for rebuilds)
+  linalg::Matrix prior_gram_;  ///< lambda I + seeded rows (for rebuilds)
   linalg::Vector prior_rhs_;
   std::deque<std::pair<linalg::Vector, double>> window_;
   std::uint64_t observed_ = 0;

@@ -73,5 +73,22 @@ TEST(ParallelThreads, IsPositive) {
   EXPECT_GE(parallel_threads(), 1u);
 }
 
+TEST(ParallelThreads, BudgetTakesDigitsOnly) {
+  // 0 sends parallel_threads() to hardware_concurrency.  The parse starts
+  // no thread, so no value here can start a pool of its size.
+  const struct {
+    const char* text;
+    std::size_t budget;
+  } cases[] = {
+      {"3", 3},    {"1", 1},    {"256", 256}, {"300", 256},
+      {"99999999999999999999", 256},  // past size_t: clamps, not wraps
+      {"-1", 0},   {"+3", 0},   {" 3", 0},    {"3 ", 0},
+      {"0", 0},    {"", 0},     {"4x", 0},    {"0x4", 0},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(parse_thread_budget(c.text), c.budget) << '"' << c.text << '"';
+  }
+}
+
 }  // namespace
 }  // namespace gppm

@@ -5,8 +5,8 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "core/evaluation.hpp"
-#include "linalg/gram.hpp"
 
 namespace gppm::core {
 namespace {
@@ -199,46 +199,34 @@ TEST(ModelFamily, EnginesIdenticalInEveryPrefixAtRealSize) {
 }
 
 TEST(ForwardSelectionParity, ParallelMatchesSerialOnEveryBoard) {
-  // Every board's power table at the family cap, with `parallel` off and
-  // on: as built, which is below the fan-out cutoff, and with its rows
-  // repeated past the cutoff, where the Gram build and the candidate
-  // scoring fan out over the pool.
+  // Every board's power table at the family cap, selected serially and
+  // then with all four boards at once on the compute pool, as the family
+  // prefetch fits them: the pooled runs must equal the serial ones.
+  std::vector<RegressionTable> tables;
   for (sim::GpuModel gpu : sim::kAllGpus) {
-    const RegressionTable table =
-        build_table(build_dataset(gpu), TargetKind::Power);
-    const std::size_t rows = table.features.rows();
-    const std::size_t cols = table.features.cols();
-    const std::size_t copies = linalg::kParallelMinCells / (rows * cols) + 1;
-    linalg::Matrix stacked(rows * copies, cols);
-    linalg::Vector stacked_y(rows * copies);
-    for (std::size_t r = 0; r < rows * copies; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        stacked(r, c) = table.features(r % rows, c);
-      }
-      stacked_y[r] = table.target[r % rows];
-    }
-    ASSERT_FALSE(linalg::parallel_pays(rows, cols));
-    ASSERT_TRUE(linalg::parallel_pays(stacked.rows(), cols));
-    const std::pair<const linalg::Matrix*, const linalg::Vector*> problems[] = {
-        {&table.features, &table.target}, {&stacked, &stacked_y}};
-    for (const auto& [x, y] : problems) {
-      SCOPED_TRACE(sim::to_string(gpu) + ", " + std::to_string(x->rows()) +
-                   " rows");
-      stats::SelectionOptions opt;
-      opt.max_variables = 20;
-      const stats::SelectionResult serial = stats::forward_select(*x, *y, opt);
-      opt.parallel = true;
-      const stats::SelectionResult parallel =
-          stats::forward_select(*x, *y, opt);
-      EXPECT_EQ(serial.selected, parallel.selected);
-      EXPECT_EQ(serial.r2_trace, parallel.r2_trace);
-      EXPECT_EQ(serial.fit.coefficients, parallel.fit.coefficients);
-      EXPECT_EQ(serial.fit.intercept, parallel.fit.intercept);
-      ASSERT_EQ(serial.prefix_fits.size(), parallel.prefix_fits.size());
-      for (std::size_t k = 0; k < serial.prefix_fits.size(); ++k) {
-        EXPECT_EQ(serial.prefix_fits[k].coefficients,
-                  parallel.prefix_fits[k].coefficients);
-      }
+    tables.push_back(build_table(build_dataset(gpu), TargetKind::Power));
+  }
+  stats::SelectionOptions opt;
+  opt.max_variables = 20;
+  std::vector<stats::SelectionResult> serial;
+  for (const RegressionTable& t : tables) {
+    serial.push_back(stats::forward_select(t.features, t.target, opt));
+  }
+  std::vector<stats::SelectionResult> pooled(tables.size());
+  gppm::parallel_for(tables.size(), [&](std::size_t i) {
+    pooled[i] =
+        stats::forward_select(tables[i].features, tables[i].target, opt);
+  });
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    SCOPED_TRACE(sim::to_string(sim::kAllGpus[i]));
+    EXPECT_EQ(serial[i].selected, pooled[i].selected);
+    EXPECT_EQ(serial[i].r2_trace, pooled[i].r2_trace);
+    EXPECT_EQ(serial[i].fit.coefficients, pooled[i].fit.coefficients);
+    EXPECT_EQ(serial[i].fit.intercept, pooled[i].fit.intercept);
+    ASSERT_EQ(serial[i].prefix_fits.size(), pooled[i].prefix_fits.size());
+    for (std::size_t k = 0; k < serial[i].prefix_fits.size(); ++k) {
+      EXPECT_EQ(serial[i].prefix_fits[k].coefficients,
+                pooled[i].prefix_fits[k].coefficients);
     }
   }
 }

@@ -45,7 +45,6 @@ OnlineGovernorOptions raw_options() {
   OnlineGovernorOptions opt;
   opt.feedback = false;
   opt.refit_interval = 0;
-  opt.instrument = false;
   return opt;
 }
 
@@ -150,7 +149,6 @@ TEST(OnlineGovernor, MaxSlowdownConstraintBoundsPredictedTime) {
 TEST(OnlineGovernor, RefitTriggersExactlyOnInterval) {
   OnlineGovernorOptions opt;
   opt.feedback = false;
-  opt.instrument = false;
   opt.refit_interval = 4;
   OnlineGovernor gov(dataset(), extended_power(), perf_model(), opt);
   const core::Sample& s = sample_of("sgemm");
@@ -181,7 +179,6 @@ TEST(OnlineGovernor, CorpusSeedsFeedbackBiasTable) {
 TEST(OnlineGovernor, FeedbackSteersAwayFromMeasuredBadPair) {
   OnlineGovernorOptions opt;
   opt.refit_interval = 0;  // isolate the bias table from model refits
-  opt.instrument = false;
   opt.switch_threshold = 0.0;
   OnlineGovernor gov(dataset(), extended_power(), perf_model(), opt);
   const core::Sample& s = sample_of("sgemm");
@@ -200,7 +197,6 @@ TEST(OnlineGovernor, FeedbackSteersAwayFromMeasuredBadPair) {
 
 TEST(OnlineGovernor, ResetClearsDecisionsButKeepsLearnedState) {
   OnlineGovernorOptions opt;
-  opt.instrument = false;
   OnlineGovernor gov(dataset(), extended_power(), perf_model(), opt);
   const core::Sample& s = sample_of("sgemm");
   gov.decide(s.counters, "sgemm");
@@ -219,7 +215,6 @@ TEST(OnlineGovernor, ResetClearsDecisionsButKeepsLearnedState) {
 LoopOptions fast_loop_options() {
   LoopOptions opt;
   opt.measure_baselines = false;
-  opt.governor.instrument = false;
   return opt;
 }
 

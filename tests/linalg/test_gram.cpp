@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -63,41 +62,6 @@ TEST(GramSystem, MatchesExplicitNormalEquations) {
   }
 }
 
-TEST(GramSystem, ParallelColumnIsBitIdentical) {
-  // The first size stays serial; the second is past kParallelMinCells,
-  // where a column fans out.  One zero column rides along.
-  const std::size_t sizes[][2] = {{64, 33}, {kParallelMinCells / 48 + 1, 48}};
-  EXPECT_FALSE(parallel_pays(sizes[0][0], sizes[0][1]));
-  EXPECT_TRUE(parallel_pays(sizes[1][0], sizes[1][1]));
-  for (const auto& [n, p] : sizes) {
-    Matrix x = random_matrix(n, p, 77);
-    for (std::size_t r = 0; r < n; ++r) x(r, 3) = 0.0;
-    gppm::Rng rng(78);
-    Vector y(n);
-    for (auto& v : y) v = rng.normal();
-
-    const GramSystem gs = build_gram_system(x, y);
-    Vector serial(p + 1), parallel(p + 1);
-    for (std::size_t a = 0; a <= p; ++a) {
-      gs.column(a, serial.data(), /*parallel=*/false);
-      gs.column(a, parallel.data(), /*parallel=*/true);
-      EXPECT_EQ(std::memcmp(serial.data(), parallel.data(),
-                            serial.size() * sizeof(double)),
-                0)
-          << "column " << a;
-    }
-  }
-}
-
-TEST(GramSystem, FanOutCutoffSplitsTheBenchProblems) {
-  // bench_selection_speedup's paper-scale problem (798 x 74) ran slower on
-  // the pool than serially; its scaled one (2048 x 192) ran faster.
-  EXPECT_FALSE(parallel_pays(798, 74));
-  EXPECT_TRUE(parallel_pays(2048, 192));
-  EXPECT_TRUE(parallel_pays(kParallelMinCells, 1));
-  EXPECT_FALSE(parallel_pays(kParallelMinCells - 1, 1));
-}
-
 TEST(GramSystem, ZeroColumnGetsZeroScale) {
   Matrix x(5, 2);
   for (std::size_t i = 0; i < 5; ++i) x(i, 1) = static_cast<double>(i + 1);
@@ -129,36 +93,6 @@ Matrix random_spd(std::size_t n, std::uint64_t seed) {
   Matrix spd = a.transposed() * a;
   for (std::size_t i = 0; i < n; ++i) spd(i, i) += static_cast<double>(n);
   return spd;
-}
-
-TEST(CholeskyIncremental, AppendMatchesFreshFactorization) {
-  const std::size_t n = 8;
-  const Matrix a = random_spd(n + 1, 31);
-  // Factor the leading n x n block, then append row/column n.
-  Matrix lead(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) lead(i, j) = a(i, j);
-  }
-  Vector cross(n);
-  for (std::size_t i = 0; i < n; ++i) cross[i] = a(i, n);
-
-  const Matrix appended = cholesky_append(cholesky(lead), cross, a(n, n));
-  const Matrix fresh = cholesky(a);
-  EXPECT_LT(appended.max_abs_diff(fresh), 1e-9);
-}
-
-TEST(CholeskyIncremental, AppendFromEmptyFactor) {
-  const Matrix l = cholesky_append(Matrix(), {}, 4.0);
-  ASSERT_EQ(l.rows(), 1u);
-  EXPECT_DOUBLE_EQ(l(0, 0), 2.0);
-}
-
-TEST(CholeskyIncremental, AppendRejectsDependentColumn) {
-  // Appending a column equal to an existing one makes the bordered matrix
-  // singular.
-  Matrix a{{2, 2}, {2, 2}};
-  const Matrix l = cholesky(Matrix{{2}});
-  EXPECT_THROW(cholesky_append(l, {2.0}, 2.0), gppm::Error);
 }
 
 TEST(CholeskyIncremental, UpdateMatchesFreshFactorization) {

@@ -1,7 +1,7 @@
 // End-to-end observability: run the instrumented layers (resilient sweep,
-// forward selection over the compute pool, prediction serving) with obs
-// enabled, then check the Chrome trace is well-formed and properly nested
-// and that the metrics registry saw all four subsystems.
+// cross-validated forward selection over the compute pool, prediction
+// serving) with obs enabled, then check the Chrome trace is well-formed and
+// properly nested and that the metrics registry saw all four subsystems.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,16 +11,13 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/characterization.hpp"
 #include "core/dataset.hpp"
 #include "core/evaluation.hpp"
 #include "fault/injector.hpp"
-#include "linalg/gram.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "serve/server.hpp"
-#include "stats/forward_selection.hpp"
 #include "workload/suite.hpp"
 
 namespace gppm {
@@ -125,25 +122,12 @@ TEST(ObsPipeline, SweepSelectServeProducesTraceAndFullMetrics) {
       runner, workload::find_benchmark("gaussian"), 0);
   EXPECT_GT(sweep.results.size(), 0u);
 
-  // Layer 3: forward selection fanned out over the compute pool
-  // (select.* spans/counters plus parallel.* from the pool itself).  A
-  // board's table is below the size at which a fit fans out, so the
-  // problem is a random one at that size.
-  const std::size_t cols = 64;
-  const std::size_t rows = linalg::kParallelMinCells / cols;
-  Rng rng(3);
-  linalg::Matrix x(rows, cols);
-  linalg::Vector y(rows);
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < cols; ++j) x(i, j) = rng.normal();
-    y[i] = 2.0 * x(i, 3) - x(i, 17) + rng.normal(0.0, 0.5);
-  }
-  ASSERT_TRUE(linalg::parallel_pays(rows, cols));
-  stats::SelectionOptions sopt;
-  sopt.max_variables = 5;
-  sopt.parallel = true;
-  const stats::SelectionResult sel = stats::forward_select(x, y, sopt);
-  EXPECT_GT(sel.selected.size(), 0u);
+  // Layer 3: leave-one-benchmark-out cross-validation, whose folds run
+  // forward selection on the compute pool (select.* spans/counters plus
+  // parallel.* from the pool itself).
+  const core::Evaluation cv =
+      core::cross_validate(shared_dataset(), core::TargetKind::Power);
+  EXPECT_EQ(cv.rows.size(), shared_dataset().row_count());
 
   // Layer 4: prediction serving (the server's scope: serve.* counters,
   // latency histograms and queue/cache gauges, kept after it is gone).

@@ -7,8 +7,8 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "linalg/gram.hpp"
 
 namespace gppm::stats {
 namespace {
@@ -136,11 +136,10 @@ Problem seeded_problem(std::uint64_t seed, double noise_sigma,
 }
 
 SelectionResult run_engine(const Problem& prob, SelectionEngine engine,
-                           bool parallel, std::size_t max_variables) {
+                           std::size_t max_variables) {
   SelectionOptions opt;
   opt.max_variables = max_variables;
   opt.engine = engine;
-  opt.parallel = parallel;
   return forward_select(prob.x, prob.y, opt);
 }
 
@@ -163,9 +162,9 @@ TEST(ForwardSelectionParity, IncrementalMatchesNaiveOnRandomProblems) {
     for (double noise : {0.05, 1.0, 5.0}) {
       const Problem prob = seeded_problem(seed, noise);
       const SelectionResult naive =
-          run_engine(prob, SelectionEngine::NaiveQr, false, 8);
+          run_engine(prob, SelectionEngine::NaiveQr, 8);
       const SelectionResult incr =
-          run_engine(prob, SelectionEngine::IncrementalGram, false, 8);
+          run_engine(prob, SelectionEngine::IncrementalGram, 8);
       SCOPED_TRACE("seed=" + std::to_string(seed) +
                    " noise=" + std::to_string(noise));
       expect_exact_parity(naive, incr);
@@ -174,21 +173,24 @@ TEST(ForwardSelectionParity, IncrementalMatchesNaiveOnRandomProblems) {
 }
 
 TEST(ForwardSelectionParity, ParallelMatchesSerial) {
-  // Deterministic fan-out: per-candidate score slots plus a serial argmax
-  // make the result independent of thread count.  The second problem is
-  // past the size at which a parallel fit fans out over the pool.
-  const std::size_t wide = 64;
-  ASSERT_TRUE(linalg::parallel_pays(linalg::kParallelMinCells / wide, wide));
-  for (const Problem& prob :
-       {seeded_problem(101, 0.8, 120, 80),
-        seeded_problem(101, 0.8, linalg::kParallelMinCells / wide, wide)}) {
-    SCOPED_TRACE(std::to_string(prob.x.rows()) + " x " +
-                 std::to_string(prob.x.cols()));
-    const SelectionResult serial =
-        run_engine(prob, SelectionEngine::IncrementalGram, false, 10);
-    const SelectionResult parallel =
-        run_engine(prob, SelectionEngine::IncrementalGram, true, 10);
-    expect_exact_parity(serial, parallel);
+  // Cross-validation folds and the family prefetch run whole selections on
+  // the compute pool, several at once.  Each run owns its scratch, so a
+  // selection inside a pool worker equals the serial one bit for bit.
+  std::vector<Problem> problems;
+  for (std::uint64_t seed = 101; seed < 109; ++seed) {
+    problems.push_back(seeded_problem(seed, 0.8, 120, 80));
+  }
+  std::vector<SelectionResult> serial;
+  for (const Problem& prob : problems) {
+    serial.push_back(run_engine(prob, SelectionEngine::IncrementalGram, 10));
+  }
+  std::vector<SelectionResult> pooled(problems.size());
+  gppm::parallel_for(problems.size(), [&](std::size_t i) {
+    pooled[i] = run_engine(problems[i], SelectionEngine::IncrementalGram, 10);
+  });
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    SCOPED_TRACE("seed " + std::to_string(101 + i));
+    expect_exact_parity(serial[i], pooled[i]);
   }
 }
 
@@ -315,9 +317,9 @@ TEST(ForwardSelectionParity, MatchesNaiveWithDegenerateColumns) {
                 rng.normal(0.0, 0.3);
   }
   const SelectionResult naive =
-      run_engine(prob, SelectionEngine::NaiveQr, false, 8);
+      run_engine(prob, SelectionEngine::NaiveQr, 8);
   const SelectionResult incr =
-      run_engine(prob, SelectionEngine::IncrementalGram, false, 8);
+      run_engine(prob, SelectionEngine::IncrementalGram, 8);
   expect_exact_parity(naive, incr);
   for (std::size_t c : incr.selected) {
     EXPECT_NE(c, 1u);
@@ -347,12 +349,12 @@ TEST(ForwardSelection, PrefixFitsMatchCappedRuns) {
   // a max_variables=k run would return.
   const Problem prob = seeded_problem(5, 0.5);
   const SelectionResult full =
-      run_engine(prob, SelectionEngine::IncrementalGram, false, 6);
+      run_engine(prob, SelectionEngine::IncrementalGram, 6);
   ASSERT_GE(full.selected.size(), 3u);
   ASSERT_EQ(full.prefix_fits.size(), full.selected.size());
   for (std::size_t k = 1; k <= full.selected.size(); ++k) {
     const SelectionResult capped =
-        run_engine(prob, SelectionEngine::IncrementalGram, false, k);
+        run_engine(prob, SelectionEngine::IncrementalGram, k);
     ASSERT_EQ(capped.selected.size(), k);
     EXPECT_TRUE(std::equal(capped.selected.begin(), capped.selected.end(),
                            full.selected.begin()));

@@ -103,7 +103,7 @@ TEST(GramScorer, EveryScoreMatchesAFreshSubstitution) {
   std::vector<std::size_t> accepted;
   std::vector<std::size_t> nan_rounds(p, 0);
   for (std::size_t step = 0; scorer.terms() <= cap; ++step) {
-    scorer.fill_columns(/*parallel=*/false);
+    scorer.fill_columns();
     // One round leaves the odd candidates out; they catch up by two
     // entries in the next.
     const bool evens_only = step == 1;
@@ -147,15 +147,15 @@ TEST(GramScorer, RefusesWhatWasNotScored) {
   }
   const linalg::GramSystem gs = linalg::build_gram_system(x, y);
   GramScorer scorer(gs, 2);
-  scorer.fill_columns(false);
+  scorer.fill_columns();
   EXPECT_THROW(scorer.accept(1), gppm::Error);  // not scored this round
   EXPECT_FALSE(std::isnan(scorer.score(1)));
   scorer.accept(1);
   EXPECT_THROW(scorer.score(0), gppm::Error);  // column of term 1 missing
-  scorer.fill_columns(false);
+  scorer.fill_columns();
   EXPECT_FALSE(std::isnan(scorer.score(0)));
   scorer.accept(0);
-  EXPECT_THROW(scorer.fill_columns(false), gppm::Error);  // past the cap
+  EXPECT_THROW(scorer.fill_columns(), gppm::Error);  // past the cap
 }
 
 }  // namespace

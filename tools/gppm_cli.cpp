@@ -1034,8 +1034,8 @@ int cmd_obs_demo(cli::Flags& flags) {
   // eyeballed end to end: a resilient sweep under a light fault plan (sweep.*
   // counters + spans), a leave-one-benchmark-out cross-validation whose
   // folds run forward selection over the compute pool (select.* and
-  // parallel.*; one board's selection alone is too small to fan out), and a
-  // burst against the prediction server (serve.* via the metrics bridge).
+  // parallel.*; one selection alone runs serially), and a burst against
+  // the prediction server (serve.* via the metrics bridge).
   gppm::obs::set_enabled(true);
 
   std::cout << "[1/3] resilient sweep under the default fault profile...\n";

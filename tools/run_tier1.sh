@@ -71,7 +71,7 @@ echo "== TSan: build + concurrency smoke targets =="
 cmake -B "$repo/build-tsan" -S "$repo" -DGPPM_SANITIZE=thread \
   -DGPPM_BUILD_BENCHES=ON >/dev/null
 cmake --build "$repo/build-tsan" -j"$jobs" \
-  --target test_common test_linalg test_stats test_serve test_obs \
+  --target test_common test_stats test_core test_serve test_obs \
            test_net test_cluster test_governor test_mix \
            bench_cluster_throughput bench_governor bench_mix
 tsan_failed=""
